@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-quick bench-full bench-json lint lint-baseline examples
+.PHONY: test bench-quick bench-full lint lint-baseline examples
 
 # Tier-1: the full unit/integration suite (collection is configured in
 # pyproject.toml, so plain `python -m pytest` works too).
@@ -19,16 +19,13 @@ bench-quick:
 bench-full:
 	REPRO_BENCH_SCALE=full $(PYTHON) -m pytest benchmarks/ -q
 
-# Machine-readable perf trail: per-bench median wall-clock in BENCH_results.json.
-bench-json:
-	$(PYTHON) benchmarks/bench_json.py --output BENCH_results.json
-
-# Byte-compile every source tree, smoke-import the public API surface, then
-# run the project's own static analysis (repro.lint) — fails on any finding
-# not covered by lint-baseline.json or an inline suppression.
+# Byte-compile every source tree, smoke-import the public API surface (which
+# must not pull in numpy: the package is stdlib-only), then run the project's
+# own static analysis (repro.lint) — fails on any finding not covered by
+# lint-baseline.json or an inline suppression.
 lint:
 	$(PYTHON) -m compileall -q src tests examples benchmarks
-	$(PYTHON) -c "import repro, repro.api, repro.cli, repro.experiments, repro.analysis, repro.service, repro.server"
+	$(PYTHON) -c "import sys, repro, repro.api, repro.cli, repro.experiments, repro.analysis, repro.service, repro.server; assert 'numpy' not in sys.modules, 'repro imported numpy'"
 	$(PYTHON) -m repro.lint src tests
 
 # Rewrite lint-baseline.json from the current findings (after intentionally

@@ -58,7 +58,7 @@ def test_bench_prepared_cache_repeated_queries(benchmark, scale):
             _compare("enwiki-2021", [(2, 20)] * REPEATS),
             _compare("soc-pokec", [(2, 16)] * REPEATS),
             # Mixed parameters against one graph: every (q-k) level is cached
-            # independently, the ordering and CSR arrays are shared.
+            # independently, the whole-graph ordering is shared.
             _compare("wiki-vote", [(2, 10), (2, 12), (3, 12), (2, 14)] * (REPEATS // 4)),
         ]
         return rows

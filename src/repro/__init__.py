@@ -66,7 +66,7 @@ from .errors import (
     ServiceOverloadError,
     SnapshotError,
 )
-from .graph import CSRGraph, Graph, PreparedGraph
+from .graph import Graph, PreparedGraph
 from .parallel import ParallelConfig, parallel_enumerate_maximal_kplexes
 from .api import (
     CancellationToken,
@@ -92,7 +92,6 @@ __version__ = "1.2.0"
 
 __all__ = [
     "Graph",
-    "CSRGraph",
     "PreparedGraph",
     "KPlex",
     "KPlexEnumerator",

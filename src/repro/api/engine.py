@@ -121,10 +121,7 @@ class KPlexEngine:
 
     @staticmethod
     def prepare(
-        graph: Graph,
-        k: Optional[int] = None,
-        q: Optional[int] = None,
-        csr_backend: Optional[str] = None,
+        graph: Graph, k: Optional[int] = None, q: Optional[int] = None
     ) -> PreparedGraph:
         """Pre-warm the prepared-graph index of ``graph`` and return it.
 
@@ -133,23 +130,17 @@ class KPlexEngine:
         same graph object pay the graph-structure work only once; the index
         lives exactly as long as the graph object does.
 
-        Without parameters this materialises the CSR form (which the
-        ``(q-k)``-core shrinking of the first request runs on); the cores
-        themselves and their orderings are cached on first use because they
-        depend on ``q - k``.  Pass the ``k``/``q`` a service expects to also
-        warm that core and its degeneracy ordering, moving the whole
-        preprocessing cost of the first matching request out of its latency.
-
-        ``csr_backend`` pins the CSR kernel backend (``"array"``/
-        ``"numpy"``/``"auto"``) for this graph's index; ``None`` keeps the
-        index's current setting.
+        Without parameters this only attaches the (empty) index; the cores
+        and their orderings are cached on first use because they depend on
+        ``q - k``.  Pass the ``k``/``q`` a service expects to warm that core
+        and its degeneracy ordering, moving the whole preprocessing cost of
+        the first matching request out of its latency.
         """
         if (k is None) != (q is None):
             raise ParameterError(
                 "pass both k and q to warm a core level, or neither"
             )
-        prepared = _prepare_graph(graph, csr_backend=csr_backend)
-        prepared.csr
+        prepared = _prepare_graph(graph)
         if k is not None and q is not None:
             validate_parameters(k, q, enforce_diameter_bound=False)
             prepared_core, _ = prepared.prepared_core(q - k)

@@ -112,19 +112,6 @@ def _add_mining_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", default="auto", choices=["auto", "edgelist", "dimacs", "metis"]
     )
-    _add_csr_backend_argument(parser)
-
-
-def _add_csr_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--csr-backend",
-        default="auto",
-        choices=["auto", "array", "numpy"],
-        help=(
-            "CSR graph-kernel backend: vectorised numpy, the pure-Python "
-            "array fallback, or auto (numpy when importable; default)"
-        ),
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,7 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--core-budget", type=int, default=None, metavar="LEVELS",
         help="per-graph cap on retained prepared core(level) subgraphs",
     )
-    _add_csr_backend_argument(serve_parser)
     serve_parser.add_argument(
         "--no-results", action="store_true",
         help="omit the k-plex vertex lists from the response lines",
@@ -302,7 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--core-budget", type=int, default=None, metavar="LEVELS",
         help="per-graph cap on retained prepared core(level) subgraphs",
     )
-    _add_csr_backend_argument(http_parser)
     http_parser.add_argument(
         "--snapshot", default=None, metavar="FILE",
         help="warm-state snapshot file (written at drain and on POST /v1/snapshot)",
@@ -447,7 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-bytes", type=int, default=64 * 1024 * 1024,
         help="per-replica result-cache byte budget (default: 64 MiB)",
     )
-    _add_csr_backend_argument(cluster_parser)
     cluster_parser.add_argument(
         "--snapshot-dir", default=None, metavar="DIR",
         help="per-replica warm-state snapshots (DIR/<replica>.json, written "
@@ -641,15 +625,7 @@ def _request_from_args(args: argparse.Namespace, graph, **extra) -> EnumerationR
     )
 
 
-def _apply_csr_backend(args: argparse.Namespace) -> None:
-    """Install the requested CSR backend as the process default."""
-    from .graph.csr import set_default_csr_backend
-
-    set_default_csr_backend(getattr(args, "csr_backend", "auto"))
-
-
 def _command_enumerate(args: argparse.Namespace) -> int:
-    _apply_csr_backend(args)
     graph = _load_input_graph(args.graph, args.format)
     engine = KPlexEngine()
     response = engine.solve(_request_from_args(args, graph))
@@ -672,15 +648,6 @@ def _command_enumerate(args: argparse.Namespace) -> int:
             f"preprocess={stats.preprocess_seconds:.4f}s "
             f"search={stats.search_seconds:.4f}s"
         )
-        prepared = graph._prepared
-        backend = (
-            prepared.cache_info()["csr_backend"] if prepared is not None else None
-        )
-        if backend is None:
-            from .graph.csr import default_csr_backend
-
-            backend = default_csr_backend()
-        print(f"csr backend: {backend}")
         print(stats)
     if args.output:
         fmt = write_results(response.kplexes, args.output)
@@ -705,7 +672,6 @@ def _parse_query_labels(graph, labels):
 
 
 def _command_query(args: argparse.Namespace) -> int:
-    _apply_csr_backend(args)
     graph = _load_input_graph(args.graph, args.format)
     query = tuple(_parse_query_labels(graph, args.vertices))
     engine = KPlexEngine()
@@ -797,7 +763,6 @@ def _service_from_args(args: argparse.Namespace):
     """Build the KPlexService shared by the serve and serve-http commands."""
     from .service import KPlexService, ServiceConfig
 
-    backend = getattr(args, "csr_backend", "auto")
     threshold = getattr(args, "breaker_threshold", 5)
     config = ServiceConfig(
         max_workers=args.workers,
@@ -806,7 +771,6 @@ def _service_from_args(args: argparse.Namespace):
         result_cache_entries=args.cache_entries,
         result_cache_bytes=args.cache_bytes,
         prepared_core_budget=args.core_budget,
-        csr_backend=None if backend == "auto" else backend,
         breaker_failure_threshold=threshold if threshold > 0 else None,
         breaker_cooldown_seconds=getattr(args, "breaker_cooldown", 5.0),
     )
@@ -916,12 +880,9 @@ def _command_serve_http(args: argparse.Namespace) -> int:
     def ready(server) -> None:
         # The URL line is the machine-readable boot signal (supervisors and
         # the CI smoke test parse it to learn the ephemeral port).
-        from .graph.csr import resolve_csr_backend
-
         print(f"serving on {server.url}", flush=True)
         print(
             f"graphs={len(service.catalog)} workers={args.workers} "
-            f"csr-backend={resolve_csr_backend(service.config.csr_backend)} "
             f"snapshot={args.snapshot or '-'}",
             file=sys.stderr,
         )
@@ -984,7 +945,6 @@ def _command_serve_cluster(args: argparse.Namespace) -> int:
         "--queue-depth", str(args.queue_depth),
         "--cache-entries", str(args.cache_entries),
         "--cache-bytes", str(args.cache_bytes),
-        "--csr-backend", args.csr_backend,
         "--snapshot-max-specs", str(args.snapshot_max_specs),
     ]
     if args.timeout is not None:

@@ -101,12 +101,10 @@ def build_seed_context(
     degeneracy ordering.  ``None`` is returned when the (pruned) seed
     subgraph is too small to contain a k-plex with ``q`` vertices.
 
-    The expansion deliberately stays on the frozenset adjacency: CPython's
-    C-level set unions measure faster than interpreted scans over the CSR
-    rows on every bundled dataset (see ``BENCH_results.json``), so the
-    prepared-graph index accelerates this function through what it *caches*
-    (the ordering and the shrunk core the caller passes in), not by swapping
-    the inner loops.
+    The expansion runs on the frozenset adjacency, whose C-level set unions
+    are the fastest two-hop sweep under CPython; the prepared-graph index
+    speeds this function up only through what it *caches* (the ordering and
+    the shrunk core the caller passes in).
     """
     seed_position = order_position[seed_vertex]
     neighbors = graph.neighbors(seed_vertex)
@@ -256,9 +254,9 @@ def iter_seed_contexts(
     ``(q - k)``-core (Theorem 3.5); the seed order is the degeneracy ordering
     of that graph.  ``seed_vertices`` restricts the iteration to a subset of
     seeds (used by the parallel executor to assign task groups to workers).
-    The degeneracy ordering and the CSR adjacency come from the graph's
-    prepared index (computed once per graph, shared across requests); pass
-    ``prepared`` to reuse an index the caller already holds.
+    The degeneracy ordering comes from the graph's prepared index (computed
+    once per graph, shared across requests); pass ``prepared`` to reuse an
+    index the caller already holds.
     """
     if prepared is None:
         prepared = prepare(graph)

@@ -41,7 +41,7 @@ class SearchStatistics:
     maximality_rejections: int = 0
     elapsed_seconds: float = 0.0
     # Split of elapsed_seconds: graph-level preprocessing (core shrinking,
-    # degeneracy ordering, CSR construction — near zero on a prepared-graph
+    # degeneracy ordering — near zero on a prepared-graph
     # cache hit) vs the search proper (seed subgraphs + branch and bound).
     preprocess_seconds: float = 0.0
     search_seconds: float = 0.0

@@ -21,10 +21,6 @@ class FormatError(ReproError):
     """Raised when a graph file cannot be parsed in the requested format."""
 
 
-class SharedMemoryError(ReproError):
-    """Raised when a shared-memory graph segment cannot be created or attached."""
-
-
 class ResilienceError(ReproError):
     """Base class for errors raised by the fault-tolerance layer (:mod:`repro.resilience`)."""
 

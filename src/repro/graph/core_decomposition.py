@@ -78,9 +78,9 @@ def core_decomposition(graph: Graph) -> CoreDecomposition:
 def set_backed_core_decomposition(graph: Graph) -> CoreDecomposition:
     """Reference peeling over the adjacency sets (uncached).
 
-    This is the original bucket-queue implementation; the CSR-backed kernel
-    in :mod:`repro.graph.prepared` must produce bit-identical results, which
-    the equivalence tests assert against this function.
+    The bucket-queue implementation that the prepared-graph index caches
+    (see :mod:`repro.graph.prepared`); its core numbers also serve the tests
+    as an independent reference for :func:`k_core_vertices`.
     """
     n = graph.num_vertices
     if n == 0:

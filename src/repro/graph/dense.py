@@ -13,7 +13,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import GraphError
 from .bitset import bits_to_list, iter_bits, mask_from_indices
-from .csr import CSRGraph
 from .graph import Graph
 
 
@@ -26,19 +25,11 @@ class DenseSubgraph:
         The graph the subgraph was induced from.
     vertices:
         Parent vertex ids included in the subgraph, in local-index order.
-    csr:
-        Optional :class:`~repro.graph.csr.CSRGraph` form of ``parent``; when
-        given, the adjacency rows are projected from the flat neighbour
-        arrays (useful when the caller already iterates the CSR form).  The
-        default dictionary path benchmarks faster under CPython, so nothing
-        is picked up implicitly.
     """
 
     __slots__ = ("parent", "vertices", "index", "adjacency", "full_mask")
 
-    def __init__(
-        self, parent: Graph, vertices: Sequence[int], csr: Optional[CSRGraph] = None
-    ) -> None:
+    def __init__(self, parent: Graph, vertices: Sequence[int]) -> None:
         self.parent = parent
         self.vertices: List[int] = list(vertices)
         if len(set(self.vertices)) != len(self.vertices):
@@ -46,17 +37,14 @@ class DenseSubgraph:
         self.index: Dict[int, int] = {
             vertex: position for position, vertex in enumerate(self.vertices)
         }
-        if csr is not None:
-            self.adjacency: List[int] = csr.induced_rows(self.vertices)
-        else:
-            self.adjacency = [0] * len(self.vertices)
-            for local, vertex in enumerate(self.vertices):
-                row = 0
-                for neighbour in parent.neighbors(vertex):
-                    other = self.index.get(neighbour)
-                    if other is not None:
-                        row |= 1 << other
-                self.adjacency[local] = row
+        self.adjacency: List[int] = [0] * len(self.vertices)
+        for local, vertex in enumerate(self.vertices):
+            row = 0
+            for neighbour in parent.neighbors(vertex):
+                other = self.index.get(neighbour)
+                if other is not None:
+                    row |= 1 << other
+            self.adjacency[local] = row
         self.full_mask = (1 << len(self.vertices)) - 1
 
     # ------------------------------------------------------------------ #

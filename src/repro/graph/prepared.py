@@ -1,14 +1,13 @@
 """Prepared-graph index: cached preprocessing shared across engine requests.
 
 Every enumeration request performs the same graph-structure work before the
-search proper starts: build a fast adjacency form, peel the ``(q-k)``-core
-(Theorem 3.5) and compute the degeneracy ordering.  When the same graph is
-queried repeatedly — the service scenario of the ROADMAP — recomputing these
-from scratch dominates the preprocessing time.
+search proper starts: peel the ``(q-k)``-core (Theorem 3.5) and compute the
+degeneracy ordering.  When the same graph is queried repeatedly — the
+service scenario of the ROADMAP — recomputing these from scratch dominates
+the preprocessing time.
 
 :class:`PreparedGraph` caches, per :class:`~repro.graph.graph.Graph`:
 
-* the :class:`~repro.graph.csr.CSRGraph` form (flat sorted adjacency arrays);
 * the core decomposition (degeneracy ordering, core numbers, degeneracy);
 * the shrunk ``d``-core for every requested minimum degree ``d``, together
   with the vertex map back to the source graph and a chained
@@ -31,18 +30,17 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from .core_decomposition import CoreDecomposition, set_backed_core_decomposition
-from .csr import CSRGraph, build_csr, resolve_csr_backend
+from .core_decomposition import (
+    CoreDecomposition,
+    k_core_vertices,
+    set_backed_core_decomposition,
+)
 from .graph import Graph
 
 _LOCK = threading.Lock()
 
 
-def prepare(
-    graph: Graph,
-    max_core_levels: Optional[int] = None,
-    csr_backend: Optional[str] = None,
-) -> "PreparedGraph":
+def prepare(graph: Graph, max_core_levels: Optional[int] = None) -> "PreparedGraph":
     """Return the (lazily filled) prepared index of ``graph``.
 
     Repeated calls with the same graph object return the same index; all
@@ -54,10 +52,6 @@ def prepare(
     subgraphs are kept, evicted LRU-first (see
     :meth:`PreparedGraph.set_core_budget`).  Passing ``None`` leaves an
     existing budget untouched.
-
-    ``csr_backend`` optionally pins the CSR kernel backend (``"array"`` or
-    ``"numpy"``; see :mod:`repro.graph.csr`).  ``None`` keeps the index's
-    current setting (initially the process default).
     """
     prepared = graph._prepared
     if prepared is None:
@@ -68,8 +62,6 @@ def prepare(
                 graph._prepared = prepared
     if max_core_levels is not None:
         prepared.set_core_budget(max_core_levels)
-    if csr_backend is not None:
-        prepared.set_csr_backend(csr_backend)
     return prepared
 
 
@@ -90,18 +82,9 @@ def invalidate(graph: Graph) -> None:
 class PreparedGraph:
     """Cached structural indexes of one graph (see module docstring)."""
 
-    def __init__(
-        self,
-        graph: Graph,
-        max_core_levels: Optional[int] = None,
-        csr_backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, graph: Graph, max_core_levels: Optional[int] = None) -> None:
         self._graph = graph
         self._lock = threading.RLock()
-        self._csr: Optional[CSRGraph] = None
-        self._csr_backend: Optional[str] = (
-            resolve_csr_backend(csr_backend) if csr_backend is not None else None
-        )
         self._decomposition: Optional[CoreDecomposition] = None
         self._position: Optional[List[int]] = None
         # LRU over core levels: entries move to the end on every hit so the
@@ -117,39 +100,6 @@ class PreparedGraph:
     def graph(self) -> Graph:
         """The source graph this index belongs to."""
         return self._graph
-
-    @property
-    def csr(self) -> CSRGraph:
-        """The CSR form of the graph (built on first use).
-
-        The backend (``array``/``numpy``) is the index's configured one, or
-        the process default at build time — see
-        :func:`repro.graph.csr.default_csr_backend` and
-        :meth:`set_csr_backend`.
-        """
-        csr = self._csr
-        if csr is None:
-            with self._lock:
-                csr = self._csr
-                if csr is None:
-                    csr = build_csr(self._graph, backend=self._csr_backend)
-                    self._csr = csr
-        return csr
-
-    def set_csr_backend(self, backend: Optional[str]) -> str:
-        """Pin the CSR backend for this index; returns the resolved name.
-
-        A CSR already built with a *different* backend is dropped and
-        rebuilt lazily (the flat arrays are identical either way, so no
-        other cached artefact is invalidated).  ``None``/``"auto"`` restores
-        the process default.
-        """
-        resolved = resolve_csr_backend(backend)
-        with self._lock:
-            self._csr_backend = None if backend in (None, "auto") else resolved
-            if self._csr is not None and self._csr.backend != resolved:
-                self._csr = None
-        return resolved
 
     @property
     def decomposition(self) -> CoreDecomposition:
@@ -273,43 +223,23 @@ class PreparedGraph:
         """A slim copy carrying only what parallel workers read.
 
         Ships the graph, the finished core decomposition and the position
-        index; the CSR arrays and cached core subgraphs stay behind, keeping
-        the per-worker pickle payload minimal.  When the platform supports
-        shared memory the executor prefers :meth:`share`, which ships only a
-        fixed-size descriptor per worker.
+        index; cached core subgraphs stay behind, keeping the per-worker
+        pickle payload minimal.
         """
         slim = PreparedGraph(self._graph)
         slim._decomposition = self.decomposition
         slim._position = self.position
         return slim
 
-    def share(self) -> "SharedPreparedGraph":
-        """Publish this index's flat arrays in one shared-memory segment.
-
-        Materialises the CSR form, decomposition and position index, then
-        copies them into a segment workers attach with
-        :func:`repro.graph.shared.attach_prepared` — per-worker transfer is
-        a fixed-size descriptor instead of an ``O(n + m)`` pickle.  The
-        caller owns the returned handle and must ``unlink()`` it (once) when
-        the worker pool is done; the executor does so in a ``finally``.
-        """
-        from .shared import SharedPreparedGraph
-
-        return SharedPreparedGraph(self)
-
     def _build_core(self, minimum_degree: int) -> Tuple[Graph, List[int]]:
         graph = self._graph
         n = graph.num_vertices
         if minimum_degree <= 0 or n == 0:
             return graph, list(range(n))
-        csr = self.csr
-        alive = csr.k_core_alive(minimum_degree)
-        kept = [vertex for vertex in range(n) if alive[vertex]]
+        kept = k_core_vertices(graph, minimum_degree)
         if len(kept) == n:
-            return graph, kept
-        adjacency = csr.induced_adjacency(kept)
-        labels = [graph.label(vertex) for vertex in kept]
-        return Graph(adjacency, labels), kept
+            return graph, list(range(n))
+        return graph.induced_subgraph(kept)
 
     # ------------------------------------------------------------------ #
     # Introspection and pickling
@@ -317,8 +247,6 @@ class PreparedGraph:
     def cache_info(self) -> Dict[str, object]:
         """Which artefacts have been materialised so far (for tests/logs)."""
         return {
-            "csr": self._csr is not None,
-            "csr_backend": self._csr.backend if self._csr is not None else None,
             "decomposition": self._decomposition is not None,
             "core_levels": sorted(self._cores),
         }
@@ -328,8 +256,6 @@ class PreparedGraph:
         # preprocessing entirely; the lock is recreated on arrival.
         return {
             "graph": self._graph,
-            "csr": self._csr,
-            "csr_backend": self._csr_backend,
             "decomposition": self._decomposition,
             "position": self._position,
             "cores": self._cores,
@@ -339,8 +265,6 @@ class PreparedGraph:
     def __setstate__(self, state) -> None:
         self._graph = state["graph"]
         self._lock = threading.RLock()
-        self._csr = state["csr"]
-        self._csr_backend = state.get("csr_backend")
         self._decomposition = state["decomposition"]
         self._position = state["position"]
         self._cores = OrderedDict(state["cores"])
@@ -353,6 +277,6 @@ class PreparedGraph:
     def __repr__(self) -> str:
         info = self.cache_info()
         return (
-            f"PreparedGraph(n={self._graph.num_vertices}, csr={info['csr']}, "
+            f"PreparedGraph(n={self._graph.num_vertices}, "
             f"decomposition={info['decomposition']}, cores={info['core_levels']})"
         )

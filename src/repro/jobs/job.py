@@ -350,7 +350,7 @@ class Job:
     # Progress
     # ------------------------------------------------------------------ #
     def note_result(self) -> None:
-        """Record one solver-produced result in the progress counters."""
+        """Record one result appended to the log in the progress counters."""
         with self._lock:
             self.result_count += 1
             if self.first_result_seconds is None:

@@ -76,10 +76,6 @@ class JobManagerConfig:
     max_jobs:
         Hard cap on retained job records (terminal ones evicted oldest
         first beyond it).
-    latency_window:
-        Retained for compatibility.  Time-to-first-result percentiles now
-        come from a fixed-bucket histogram in the service's telemetry
-        registry; the knob no longer bounds anything.
     """
 
     max_concurrent: int = 2
@@ -87,7 +83,6 @@ class JobManagerConfig:
     result_buffer: Optional[int] = 4096
     ttl_seconds: float = 300.0
     max_jobs: int = 1024
-    latency_window: int = 1024
 
     def __post_init__(self) -> None:
         if self.max_concurrent < 1:
@@ -500,16 +495,20 @@ class JobManager:
             )
             index = 0
             for plex in iterator:
-                job.note_result()
-                if job.first_result_seconds is not None and index == 0:
-                    self._ttfr.observe(job.first_result_seconds)
                 appended = job.results.append(
                     self._encode(index, plex),
                     should_abort=lambda: job.cancel_token.cancelled,
                 )
-                index += 1
-                if not appended and not job.cancel_token.cancelled:
+                if not appended:
+                    if job.cancel_token.cancelled:
+                        continue  # the stream stops at its next cancel check
                     break  # pragma: no cover - log closed under the producer
+                # Count only what was delivered into the log, so the final
+                # record's count always matches the entries a reader sees.
+                job.note_result()
+                if index == 0:
+                    self._ttfr.observe(job.first_result_seconds)
+                index += 1
         except BaseException as exc:  # noqa: BLE001 - job table absorbs errors
             job.finish(JOB_FAILED, error=f"{type(exc).__name__}: {exc}")
             with self._lock:

@@ -20,7 +20,6 @@ and for small graphs where process start-up dominates) are supported.
 
 from __future__ import annotations
 
-import logging
 import os
 import time
 from collections import deque
@@ -35,18 +34,11 @@ from ..core.enumerator import EnumerationResult
 from ..core.kplex import KPlex, validate_parameters
 from ..core.seeds import build_seed_context, iter_subtasks
 from ..core.stats import SearchStatistics
-from ..errors import FaultInjectedError, SharedMemoryError, WorkerCrashError
+from ..errors import FaultInjectedError, WorkerCrashError
 from ..graph import Graph
 from ..graph.prepared import PreparedGraph, prepare
-from ..graph.shared import (
-    SharedGraphDescriptor,
-    attach_prepared,
-    shared_memory_available,
-)
 from ..obs import attach_span_record, span, span_record, start_span
-from ..resilience import PoolSupervisor, RetryPolicy, fault_injector, resilience_stats
-
-logger = logging.getLogger("repro.resilience")
+from ..resilience import PoolSupervisor, RetryPolicy, fault_injector
 
 DEFAULT_TIMEOUT_SECONDS = 1e-4  # the paper's default τ_time = 0.1 ms
 
@@ -68,14 +60,6 @@ class ParallelConfig:
         matching the paper's stage construction.
     enumeration:
         The sequential algorithm configuration each worker runs.
-    shared_memory:
-        Worker-transfer mode for the process pool.  ``True`` publishes the
-        prepared graph's flat arrays in one shared-memory segment that every
-        worker maps (per-worker transfer is a fixed-size descriptor);
-        ``False`` pickles a slim prepared graph per worker; ``None`` (the
-        default) uses shared memory whenever the platform supports it.
-        Ignored by the thread pool, which shares the driver's objects
-        directly.
     retry:
         Retry/backoff budget the pool supervisor applies to seed tasks lost
         to a worker crash or raised from a worker; ``None`` uses the
@@ -90,7 +74,6 @@ class ParallelConfig:
     use_processes: bool = True
     stage_size: Optional[int] = None
     enumeration: EnumerationConfig = field(default_factory=EnumerationConfig.ours)
-    shared_memory: Optional[bool] = None
     retry: Optional[RetryPolicy] = None
     max_pool_failures: int = 4
 
@@ -103,8 +86,8 @@ class _WorkerState:
     """Read-only state shared by the task groups of one parallel run.
 
     Workers receive the driver's :class:`PreparedGraph` of the (q-k)-core —
-    including the CSR arrays and the finished degeneracy ordering — so no
-    worker repeats the graph-level preprocessing.
+    including the finished degeneracy ordering — so no worker repeats the
+    graph-level preprocessing.
     """
 
     prepared: PreparedGraph
@@ -121,32 +104,9 @@ class _WorkerState:
 _PROCESS_STATE: List[Optional[_WorkerState]] = [None]
 
 
-def _initialise_worker(
-    prepared: PreparedGraph,
-    k: int,
-    q: int,
-    config: EnumerationConfig,
-    timeout: Optional[float],
-) -> None:
+def _initialise_worker(state: _WorkerState) -> None:
     """Process-pool initializer: store the state once per worker process."""
-    _PROCESS_STATE[0] = _WorkerState(prepared, k, q, config, timeout)
-
-
-def _initialise_worker_shared(
-    descriptor: SharedGraphDescriptor,
-    k: int,
-    q: int,
-    config: EnumerationConfig,
-    timeout: Optional[float],
-) -> None:
-    """Shared-memory initializer: attach the driver's published segment.
-
-    The descriptor is a fixed-size handle; the flat graph arrays are mapped
-    from the one segment the driver created instead of being unpickled per
-    worker.  The mapping stays open for the worker's lifetime — only the
-    driver unlinks.
-    """
-    _PROCESS_STATE[0] = _WorkerState(attach_prepared(descriptor), k, q, config, timeout)
+    _PROCESS_STATE[0] = state
 
 
 def _mine_seed(seed_vertex: int) -> Tuple[List[Tuple[int, ...]], Dict[str, float]]:
@@ -299,8 +259,8 @@ def _enumerate_parallel(
     started = time.perf_counter()
 
     # Graph-level preprocessing, all served by (and cached in) the prepared
-    # index: core shrinking, degeneracy ordering and the CSR arrays that are
-    # shipped to the workers.
+    # index: core shrinking and the degeneracy ordering shipped to the
+    # workers.
     preprocess_span = start_span("preprocess", core_level=q - k)
     prepared_core, core_map = prepare(graph).prepared_core(q - k)
     core_graph = prepared_core.graph
@@ -319,173 +279,115 @@ def _enumerate_parallel(
             seed_span.set(seeds=len(seeds))
         merged_stats.preprocess_seconds = time.perf_counter() - started
         stage = parallel.stage_size or parallel.num_workers
-        shared_payload = None
+        state = _WorkerState(
+            prepared_core.for_worker_transfer(),
+            k,
+            q,
+            parallel.enumeration,
+            parallel.timeout_seconds,
+        )
 
-        # The segment must be unlinked exactly once on every exit path —
-        # normal completion, a raising worker, a crashed pool, even a failing
-        # pool constructor — or it leaks in /dev/shm until reboot.
-        try:
-            if parallel.use_processes:
-                injector = fault_injector()
-                use_shared = parallel.shared_memory
-                if use_shared is None:
-                    use_shared = shared_memory_available()
-                if use_shared:
-                    try:
-                        if injector.fire("shm_fail"):
-                            raise SharedMemoryError(
-                                "injected shared-memory publish failure"
-                            )
-                        shared_payload = prepared_core.share()
-                    except SharedMemoryError as exc:
-                        # Fall back to pickled per-worker transfer — slower,
-                        # but correct.  Observable, not silent: counted in
-                        # the service metrics and logged with the cause.
-                        shared_payload = None
-                        resilience_stats().increment("shm_fallbacks")
-                        logger.warning(
-                            "resilience: shared-memory publish failed "
-                            "(%s: %s); falling back to pickled per-worker "
-                            "transfer",
-                            type(exc).__name__, exc,
-                        )
-                if shared_payload is not None:
-                    initializer = _initialise_worker_shared
-                    init_args = (
-                        shared_payload.descriptor(),
-                        k,
-                        q,
-                        parallel.enumeration,
-                        parallel.timeout_seconds,
-                    )
-                else:
-                    initializer = _initialise_worker
-                    init_args = (
-                        prepared_core.for_worker_transfer(),
-                        k,
-                        q,
-                        parallel.enumeration,
-                        parallel.timeout_seconds,
-                    )
+        if parallel.use_processes:
+            injector = fault_injector()
 
-                # The rebuild path reuses the same initargs: the driver's
-                # shared-memory segment outlives any worker crash, so a
-                # fresh pool's initializer re-attaches the same descriptor.
-                def pool_factory():
-                    if injector.fire("pool_build"):
-                        raise WorkerCrashError("injected pool construction failure")
-                    return ProcessPoolExecutor(
-                        max_workers=parallel.num_workers,
-                        initializer=initializer,
-                        initargs=init_args,
-                    )
-
-                def submit(pool, seed_vertex):
-                    if injector.enabled:
-                        fault = _evaluate_seed_fault(injector, seed_vertex)
-                        if fault is not None:
-                            return pool.submit(
-                                _mine_seed_faulted, seed_vertex, fault[0], fault[1]
-                            )
-                    return pool.submit(_mine_seed, seed_vertex)
-
-                # Degradation ladder's last rung: mine in-process.  Fault
-                # points never apply here — the fallback must be safe.
-                serial = partial(
-                    _mine_seed_with_state,
-                    _WorkerState(
-                        prepared_core,
-                        k,
-                        q,
-                        parallel.enumeration,
-                        parallel.timeout_seconds,
-                    ),
+            # Every worker unpickles the same slim state once; the rebuild
+            # path after a crash reuses it unchanged.
+            def pool_factory():
+                if injector.fire("pool_build"):
+                    raise WorkerCrashError("injected pool construction failure")
+                return ProcessPoolExecutor(
+                    max_workers=parallel.num_workers,
+                    initializer=_initialise_worker,
+                    initargs=(state,),
                 )
 
-                supervisor = PoolSupervisor(
-                    pool_factory,
-                    submit,
-                    serial,
-                    retry=parallel.retry,
-                    stage_size=stage,
-                    max_pool_failures=parallel.max_pool_failures,
-                    label="parallel process pool",
-                )
-                with span(
-                    "search", mode="processes", seeds=len(seeds), stage_size=stage
-                ) as search_span:
-                    outcomes, report = supervisor.run(seeds)
-                    search_span.set(
-                        pool_recoveries=report.pool_recoveries,
-                        task_retries=report.task_retries,
-                    )
-                merged_stats.pool_recoveries = report.pool_recoveries
-                merged_stats.task_retries = report.task_retries
-                merged_stats.serial_fallbacks = 1 if report.degraded_serial else 0
-                for seed_results, stats_dict in outcomes:
-                    # Worker span records ride the stats dict across the
-                    # process boundary; re-parent them under the search
-                    # span so worker time lands in the right subtree.
-                    record = stats_dict.pop("_span", None)
-                    if record is not None and search_span.recorded:
-                        attach_span_record(record, parent=search_span)
-                    merged_stats.merge(_stats_from_dict(stats_dict))
-                    for core_vertices in seed_results:
-                        original = [core_map[v] for v in core_vertices]
-                        kplexes.append(KPlex.from_vertices(graph, original, k))
-            else:
-                # Bind this run's state directly instead of going through the
-                # per-process slot, so concurrent thread-mode runs are isolated.
-                # Threads cannot die under the driver, so the thread pool runs
-                # unsupervised.
-                init_args = (
-                    prepared_core.for_worker_transfer(),
-                    k,
-                    q,
-                    parallel.enumeration,
-                    parallel.timeout_seconds,
-                )
-                mine_state = partial(_mine_seed_with_state, _WorkerState(*init_args))
-                injector = fault_injector()
+            def submit(pool, seed_vertex):
                 if injector.enabled:
-                    def mine(seed_vertex, _mine=mine_state, _injector=injector):
-                        fault = _evaluate_thread_seed_fault(_injector, seed_vertex)
-                        if fault is not None:
-                            kind, param = fault
-                            if kind == "exc":
-                                raise FaultInjectedError(
-                                    f"injected worker failure at seed {seed_vertex}"
-                                )
-                            if kind == "delay" and param:
-                                time.sleep(param)
-                        return _mine(seed_vertex)
-                else:
-                    mine = mine_state
-                pool = ThreadPoolExecutor(max_workers=parallel.num_workers)
-                try:
-                    with span(
-                        "search", mode="threads", seeds=len(seeds), stage_size=stage
-                    ):
-                        for start in range(0, len(seeds), stage):
-                            block = seeds[start : start + stage]
-                            with span(
-                                "seed_batch", offset=start, size=len(block)
-                            ) as batch_span:
-                                for seed_results, stats_dict in pool.map(mine, block):
-                                    record = stats_dict.pop("_span", None)
-                                    if record is not None and batch_span.recorded:
-                                        attach_span_record(record, parent=batch_span)
-                                    merged_stats.merge(_stats_from_dict(stats_dict))
-                                    for core_vertices in seed_results:
-                                        original = [core_map[v] for v in core_vertices]
-                                        kplexes.append(
-                                            KPlex.from_vertices(graph, original, k)
-                                        )
-                finally:
-                    pool.shutdown()
-        finally:
-            if shared_payload is not None:
-                shared_payload.unlink()
+                    fault = _evaluate_seed_fault(injector, seed_vertex)
+                    if fault is not None:
+                        return pool.submit(
+                            _mine_seed_faulted, seed_vertex, fault[0], fault[1]
+                        )
+                return pool.submit(_mine_seed, seed_vertex)
+
+            # Degradation ladder's last rung: mine in-process.  Fault
+            # points never apply here — the fallback must be safe.
+            serial = partial(_mine_seed_with_state, state)
+
+            supervisor = PoolSupervisor(
+                pool_factory,
+                submit,
+                serial,
+                retry=parallel.retry,
+                stage_size=stage,
+                max_pool_failures=parallel.max_pool_failures,
+                label="parallel process pool",
+            )
+            with span(
+                "search", mode="processes", seeds=len(seeds), stage_size=stage
+            ) as search_span:
+                outcomes, report = supervisor.run(seeds)
+                search_span.set(
+                    pool_recoveries=report.pool_recoveries,
+                    task_retries=report.task_retries,
+                )
+            merged_stats.pool_recoveries = report.pool_recoveries
+            merged_stats.task_retries = report.task_retries
+            merged_stats.serial_fallbacks = 1 if report.degraded_serial else 0
+            for seed_results, stats_dict in outcomes:
+                # Worker span records ride the stats dict across the
+                # process boundary; re-parent them under the search
+                # span so worker time lands in the right subtree.
+                record = stats_dict.pop("_span", None)
+                if record is not None and search_span.recorded:
+                    attach_span_record(record, parent=search_span)
+                merged_stats.merge(_stats_from_dict(stats_dict))
+                for core_vertices in seed_results:
+                    original = [core_map[v] for v in core_vertices]
+                    kplexes.append(KPlex.from_vertices(graph, original, k))
+        else:
+            # Bind this run's state directly instead of going through the
+            # per-process slot, so concurrent thread-mode runs are isolated.
+            # Threads cannot die under the driver, so the thread pool runs
+            # unsupervised.
+            mine_state = partial(_mine_seed_with_state, state)
+            injector = fault_injector()
+            if injector.enabled:
+                def mine(seed_vertex, _mine=mine_state, _injector=injector):
+                    fault = _evaluate_thread_seed_fault(_injector, seed_vertex)
+                    if fault is not None:
+                        kind, param = fault
+                        if kind == "exc":
+                            raise FaultInjectedError(
+                                f"injected worker failure at seed {seed_vertex}"
+                            )
+                        if kind == "delay" and param:
+                            time.sleep(param)
+                    return _mine(seed_vertex)
+            else:
+                mine = mine_state
+            pool = ThreadPoolExecutor(max_workers=parallel.num_workers)
+            try:
+                with span(
+                    "search", mode="threads", seeds=len(seeds), stage_size=stage
+                ):
+                    for start in range(0, len(seeds), stage):
+                        block = seeds[start : start + stage]
+                        with span(
+                            "seed_batch", offset=start, size=len(block)
+                        ) as batch_span:
+                            for seed_results, stats_dict in pool.map(mine, block):
+                                record = stats_dict.pop("_span", None)
+                                if record is not None and batch_span.recorded:
+                                    attach_span_record(record, parent=batch_span)
+                                merged_stats.merge(_stats_from_dict(stats_dict))
+                                for core_vertices in seed_results:
+                                    original = [core_map[v] for v in core_vertices]
+                                    kplexes.append(
+                                        KPlex.from_vertices(graph, original, k)
+                                    )
+            finally:
+                pool.shutdown()
 
     with span("merge", results=len(kplexes)):
         kplexes.sort(key=lambda plex: (plex.size, plex.vertices))

@@ -12,12 +12,11 @@ from a compact spec string (env var ``REPRO_FAULT``, the ``serve-http
     REPRO_FAULT="pool_build:1"              # next pool construction fails
     REPRO_FAULT="snapshot_torn:1"           # next snapshot save writes torn JSON
     REPRO_FAULT="http_drop:1@5"             # cut a result stream after 5 records
-    REPRO_FAULT="shm_fail:1"                # next shared-memory publish fails
     REPRO_FAULT="worker_kill:1,seed_delay:0.01"   # combine points
 
 Grammar: ``name[:arg][@after]``, comma-separated.  For *budgeted* points
-(``worker_kill``, ``pool_build``, ``snapshot_torn``, ``http_drop``,
-``shm_fail``) the arg is how many times the fault fires — the budget lives
+(``worker_kill``, ``pool_build``, ``snapshot_torn``, ``http_drop``) the
+arg is how many times the fault fires — the budget lives
 on the **driver side**, so a respawned worker does not inherit a live
 fault and kill itself forever.  For *parametrized* points (``seed_crash``,
 ``seed_exception``, ``seed_delay``) the arg is the parameter (seed vertex
@@ -36,9 +35,7 @@ import threading
 from typing import Dict, List, Optional
 
 #: Points whose arg is a firing budget (default 1).
-BUDGETED_POINTS = frozenset(
-    {"worker_kill", "pool_build", "snapshot_torn", "http_drop", "shm_fail"}
-)
+BUDGETED_POINTS = frozenset({"worker_kill", "pool_build", "snapshot_torn", "http_drop"})
 #: Points whose arg is a parameter and which fire deterministically.
 PARAMETRIZED_POINTS = frozenset({"seed_crash", "seed_exception", "seed_delay"})
 

@@ -22,7 +22,6 @@ _COUNTERS = (
     "serial_fallbacks",     # runs degraded to in-process serial enumeration
     "task_retries",         # individual seed tasks resubmitted
     "poison_tasks",         # tasks that exhausted their retry budget
-    "shm_fallbacks",        # shared-memory publish failures → pickled transfer
     "snapshots_quarantined",  # corrupt snapshot files renamed aside on load
 )
 

@@ -8,9 +8,9 @@ call.  :class:`GraphCatalog` provides exactly that:
   iterable, a graph file readable by :func:`repro.graph.io.load_graph`, or a
   ``dataset:<name>`` entry of :mod:`repro.datasets.registry`;
 * registration **pre-warms** the graph's
-  :class:`~repro.graph.prepared.PreparedGraph` index (CSR form, and the
-  ``(q-k)``-core plus ordering for every ``(k, q)`` pair the caller expects
-  to serve), so the first request pays no preprocessing latency;
+  :class:`~repro.graph.prepared.PreparedGraph` index (the ``(q-k)``-core
+  plus ordering for every ``(k, q)`` pair the caller expects to serve), so
+  the first request pays no preprocessing latency;
 * every entry tracks an estimated memory footprint (graph + materialised
   index) for capacity planning;
 * ``invalidate()`` / ``unregister()`` retire an entry: the graph's epoch is
@@ -99,21 +99,12 @@ class GraphCatalog:
         Optional per-graph cap on retained ``core(level)`` subgraphs — the
         ROADMAP's *prepared-index memory budget* — applied to every graph on
         registration (see :meth:`PreparedGraph.set_core_budget`).
-    csr_backend:
-        CSR kernel backend (``"array"``/``"numpy"``/``"auto"``) pinned on
-        every registered graph's prepared index; ``None`` keeps the process
-        default (numpy when importable).
     """
 
-    def __init__(
-        self,
-        prepared_core_budget: Optional[int] = None,
-        csr_backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, prepared_core_budget: Optional[int] = None) -> None:
         self._lock = threading.RLock()
         self._entries: Dict[str, CatalogEntry] = {}
         self.prepared_core_budget = prepared_core_budget
-        self.csr_backend = csr_backend
 
     # ------------------------------------------------------------------ #
     # Registration and resolution
@@ -195,11 +186,8 @@ class GraphCatalog:
         self, graph: Graph, prewarm: Optional[Sequence[Tuple[int, int]]]
     ) -> Tuple[int, ...]:
         prepared: PreparedGraph = prepare(
-            graph,
-            max_core_levels=self.prepared_core_budget,
-            csr_backend=self.csr_backend,
+            graph, max_core_levels=self.prepared_core_budget
         )
-        prepared.csr  # every solver's first step runs on the CSR form
         levels: List[int] = []
         for pair in prewarm or ():
             try:

@@ -88,14 +88,6 @@ class ServiceConfig:
     prepared_core_budget:
         Per-graph cap on retained ``core(level)`` subgraphs, applied through
         the catalog on registration (the prepared-index memory budget).
-    csr_backend:
-        CSR kernel backend (``"array"``/``"numpy"``/``"auto"``) pinned on
-        every catalog graph's prepared index; ``None``/``"auto"`` keeps the
-        process default (numpy when importable).
-    latency_window:
-        Retained for compatibility.  Latency percentiles now come from a
-        fixed-bucket histogram whose memory is constant regardless of
-        traffic; the knob no longer bounds anything.
     breaker_failure_threshold:
         Consecutive backend failures that open the circuit breaker (new
         submissions are then shed with :class:`~repro.errors.CircuitOpenError`
@@ -113,25 +105,15 @@ class ServiceConfig:
     seed_cache_entries: Optional[int] = 64
     seed_cache_bytes: Optional[int] = 32 * 1024 * 1024
     prepared_core_budget: Optional[int] = None
-    csr_backend: Optional[str] = None
-    latency_window: int = 2048
     breaker_failure_threshold: Optional[int] = 5
     breaker_cooldown_seconds: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.csr_backend is not None:
-            from ..graph.csr import resolve_csr_backend
-
-            resolve_csr_backend(self.csr_backend)  # validates name/availability
         if self.max_workers < 1:
             raise ParameterError(f"max_workers must be >= 1, got {self.max_workers}")
         if self.max_queue_depth < 0:
             raise ParameterError(
                 f"max_queue_depth must be >= 0, got {self.max_queue_depth}"
-            )
-        if self.latency_window < 1:
-            raise ParameterError(
-                f"latency_window must be >= 1, got {self.latency_window}"
             )
         if self.default_timeout_seconds is not None and self.default_timeout_seconds < 0:
             raise ParameterError(
@@ -217,11 +199,7 @@ class ServiceMetrics:
     per-graph/per-route series.
     """
 
-    def __init__(
-        self,
-        latency_window: int = 2048,  # retained for compatibility; unused
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self._lock = threading.Lock()
         self.registry = registry or MetricsRegistry()
         self._latency = self.registry.histogram(
@@ -420,8 +398,7 @@ class KPlexService:
     ) -> None:
         self.config = config or ServiceConfig()
         self.catalog = catalog or GraphCatalog(
-            prepared_core_budget=self.config.prepared_core_budget,
-            csr_backend=self.config.csr_backend,
+            prepared_core_budget=self.config.prepared_core_budget
         )
         self._engine = engine or KPlexEngine()
         self._result_cache: Optional[ResultCache] = (
@@ -440,7 +417,7 @@ class KPlexService:
                 max_bytes=self.config.seed_cache_bytes,
             )
         )
-        self._metrics = ServiceMetrics(latency_window=self.config.latency_window)
+        self._metrics = ServiceMetrics()
         self._breaker: Optional[CircuitBreaker] = (
             None
             if self.config.breaker_failure_threshold is None

@@ -46,15 +46,11 @@ def estimate_graph_bytes(graph: "Graph") -> int:
 def estimate_prepared_bytes(prepared: "PreparedGraph") -> int:
     """Approximate resident size of the materialised prepared-index artefacts.
 
-    Only counts what has actually been built: the CSR arrays, the core
-    decomposition lists, and every *distinct* cached core subgraph (identity
-    entries share the source graph and contribute only their vertex map).
+    Only counts what has actually been built: the core decomposition lists
+    and every *distinct* cached core subgraph (identity entries share the
+    source graph and contribute only their vertex map).
     """
     total = _OBJECT
-    csr = prepared._csr
-    if csr is not None:
-        total += csr.offsets.itemsize * len(csr.offsets)
-        total += csr.neighbors.itemsize * len(csr.neighbors)
     decomposition = prepared._decomposition
     if decomposition is not None:
         total += 2 * len(decomposition.order) * (_LIST_ENTRY + _SMALL_INT)

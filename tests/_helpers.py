@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.graph import Graph, generators
+from repro.graph import Graph, generators, set_backed_core_decomposition
 
 
 def random_graph_cases(count: int, max_vertices: int = 13, seed: int = 0) -> List[Graph]:
@@ -29,3 +29,21 @@ def random_graph_cases(count: int, max_vertices: int = 13, seed: int = 0) -> Lis
 def vertex_sets(plexes) -> set:
     """Convert KPlex results to a comparable set of frozensets."""
     return {frozenset(plex.vertices) for plex in plexes}
+
+
+def assert_matches_reference_core(graph: Graph, level: int, core: Graph, vertex_map) -> None:
+    """Check a shrunk ``level``-core against the bucket-queue core numbers.
+
+    The ``level``-core is exactly the vertices of core number ``>= level``
+    with their induced edges and labels; the core numbers come from a
+    different algorithm than the stack-based peel behind ``shrink_to_core``,
+    so this is an independent oracle.
+    """
+    core_numbers = set_backed_core_decomposition(graph).core_numbers
+    expected = [v for v in graph.vertices() if core_numbers[v] >= level]
+    assert list(vertex_map) == expected
+    assert core.labels() == [graph.label(v) for v in expected]
+    kept = set(expected)
+    assert {frozenset((vertex_map[u], vertex_map[v])) for u, v in core.edges()} == {
+        frozenset(edge) for edge in graph.edges() if kept.issuperset(edge)
+    }

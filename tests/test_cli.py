@@ -337,27 +337,3 @@ def test_serve_warm_start_tolerates_missing_snapshot(graph_file, workload_file, 
     captured = capsys.readouterr()
     assert exit_code == 0
     assert "starting cold" in captured.err
-
-
-def test_enumerate_csr_backend_flag_and_stats_visibility(graph_file, capsys):
-    from repro.graph.csr import available_csr_backends, set_default_csr_backend
-
-    try:
-        for backend in available_csr_backends():
-            exit_code = main(
-                [
-                    "enumerate", str(graph_file), "-k", "2", "-q", "5",
-                    "--csr-backend", backend, "--stats",
-                ]
-            )
-            captured = capsys.readouterr()
-            assert exit_code == 0
-            assert f"csr backend: {backend}" in captured.out
-    finally:
-        set_default_csr_backend(None)
-
-
-def test_enumerate_rejects_unknown_csr_backend(graph_file):
-    with pytest.raises(SystemExit):
-        main(["enumerate", str(graph_file), "-k", "2", "-q", "5",
-              "--csr-backend", "cuda"])

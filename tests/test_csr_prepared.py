@@ -1,10 +1,9 @@
-"""Equivalence tests for the CSR graph kernel and the prepared-graph cache.
+"""Equivalence tests for the prepared-graph cache.
 
-The CSR kernel (:mod:`repro.graph.csr`) and the prepared index
-(:mod:`repro.graph.prepared`) are pure performance substrates: every result
-they produce must be bit-identical to the set-backed reference
-implementations.  These tests assert that on randomized graphs, and that
-enumeration output is unchanged by prepared-graph cache hits.
+The prepared index (:mod:`repro.graph.prepared`) is a pure performance
+substrate: every result it produces must be bit-identical to the uncached
+reference implementations.  These tests assert that on randomized graphs,
+and that enumeration output is unchanged by prepared-graph cache hits.
 """
 
 import pickle
@@ -16,17 +15,16 @@ from repro.api import EnumerationRequest, KPlexEngine
 from repro.core import EnumerationConfig
 from repro.core.stats import SearchStatistics
 from repro.graph import (
-    CSRGraph,
     Graph,
     core_decomposition,
     invalidate,
-    k_core_subgraph,
     prepare,
     set_backed_core_decomposition,
     shrink_to_core,
 )
-from repro.graph.dense import DenseSubgraph
 from repro.graph.generators import erdos_renyi, relaxed_caveman, star_graph
+
+from _helpers import assert_matches_reference_core
 
 
 def random_graphs():
@@ -43,73 +41,6 @@ def random_graphs():
         p = rng.random() * 0.35
         graphs.append(erdos_renyi(n, p, seed=trial))
     return graphs
-
-
-# --------------------------------------------------------------------------- #
-# CSR kernel vs the set-backed Graph
-# --------------------------------------------------------------------------- #
-def test_csr_matches_set_backed_adjacency():
-    for graph in random_graphs():
-        csr = CSRGraph.from_graph(graph)
-        assert csr.num_vertices == graph.num_vertices
-        assert csr.num_edges == graph.num_edges
-        assert csr.degrees() == graph.degrees()
-        for v in graph.vertices():
-            assert csr.degree(v) == graph.degree(v)
-            assert csr.neighbors_list(v) == sorted(graph.neighbors(v))
-            for u in graph.vertices():
-                assert csr.has_edge(v, u) == graph.has_edge(v, u)
-
-
-def test_csr_two_hop_matches_set_backed():
-    for graph in random_graphs():
-        csr = CSRGraph.from_graph(graph)
-        for v in graph.vertices():
-            assert csr.two_hop_neighbors(v) == sorted(graph.two_hop_neighbors(v))
-            assert csr.neighborhood_within_two_hops(v) == sorted(
-                graph.neighborhood_within_two_hops(v)
-            )
-
-
-def test_csr_induced_rows_match_dense_subgraph():
-    rng = random.Random(7)
-    for graph in random_graphs():
-        if graph.num_vertices == 0:
-            continue
-        csr = CSRGraph.from_graph(graph)
-        vertices = rng.sample(
-            range(graph.num_vertices), rng.randint(1, graph.num_vertices)
-        )
-        with_csr = DenseSubgraph(graph, vertices, csr=csr)
-        invalidate(graph)  # make sure the plain path cannot pick a CSR up
-        plain = DenseSubgraph(graph, vertices)
-        assert with_csr.adjacency == plain.adjacency
-        assert with_csr.vertices == plain.vertices
-
-
-def test_csr_projection_rejects_out_of_range_vertices():
-    from repro.errors import GraphError
-
-    graph = erdos_renyi(30, 0.2, seed=6)
-    csr = CSRGraph.from_graph(graph)
-    expected = csr.rows_onto([0], [1, 2])
-    with pytest.raises(GraphError):
-        csr.rows_onto([0], [5, 999])
-    with pytest.raises(GraphError):
-        csr.rows_onto([0], [5, -7])  # must not wrap via negative indexing
-    with pytest.raises(GraphError):
-        csr.induced_adjacency([0, 999])
-    # The shared scratch array is untouched by rejected calls.
-    assert csr.rows_onto([0], [1, 2]) == expected
-
-
-def test_csr_induced_adjacency_matches_induced_subgraph():
-    for graph in random_graphs():
-        csr = CSRGraph.from_graph(graph)
-        kept = [v for v in graph.vertices() if v % 2 == 0]
-        reference, _ = graph.induced_subgraph(kept)
-        adjacency = csr.induced_adjacency(kept)
-        assert [sorted(reference.neighbors(v)) for v in reference.vertices()] == adjacency
 
 
 # --------------------------------------------------------------------------- #
@@ -144,10 +75,8 @@ def test_shrink_to_core_vertex_map_is_mutation_safe():
 def test_shrink_to_core_matches_reference_subgraph():
     for graph in random_graphs():
         for level in range(0, 6):
-            reference, reference_map = k_core_subgraph(graph, level)
             cached, cached_map = shrink_to_core(graph, level)
-            assert cached == reference
-            assert list(cached_map) == list(reference_map)
+            assert_matches_reference_core(graph, level, cached, cached_map)
 
 
 def test_shrink_to_core_identity_when_nothing_peeled():
@@ -179,17 +108,10 @@ def test_prepared_graph_cache_info_tracks_materialisation():
     graph = erdos_renyi(20, 0.3, seed=2)
     invalidate(graph)
     prepared = prepare(graph)
-    assert prepared.cache_info() == {
-        "csr": False,
-        "csr_backend": None,
-        "decomposition": False,
-        "core_levels": [],
-    }
+    assert prepared.cache_info() == {"decomposition": False, "core_levels": []}
     prepared.decomposition
     prepared.core(2)
-    info = prepared.cache_info()
-    assert info["csr"] and info["decomposition"] and info["core_levels"] == [2]
-    assert info["csr_backend"] in ("array", "numpy")
+    assert prepared.cache_info() == {"decomposition": True, "core_levels": [2]}
 
 
 def test_prepared_graph_pickle_roundtrip_keeps_artifacts():
@@ -203,9 +125,7 @@ def test_prepared_graph_pickle_roundtrip_keeps_artifacts():
     assert restored.graph._prepared is restored
     assert restored.cache_info() == prepared.cache_info()
     assert restored.decomposition.order == prepared.decomposition.order
-    # tolist() keeps the comparison backend-agnostic (ndarray == ndarray is
-    # elementwise, not a scalar truth value).
-    assert restored.csr.neighbors.tolist() == prepared.csr.neighbors.tolist()
+    assert restored.core(2) == prepared.core(2)
 
 
 def test_graph_pickle_does_not_ship_prepared_index():
@@ -281,8 +201,7 @@ def test_engine_prepare_warms_the_requested_core():
     graph = relaxed_caveman(4, 5, 0.3, seed=19)
     invalidate(graph)
     prepared = KPlexEngine.prepare(graph, k=2, q=4)
-    info = prepared.cache_info()
-    assert info["csr"] and info["core_levels"] == [2]
+    assert prepared.cache_info()["core_levels"] == [2]
     core, _ = prepared.core(2)
     assert prepare(core).cache_info()["decomposition"]
 

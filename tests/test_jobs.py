@@ -262,6 +262,41 @@ def test_manager_cancel_running_job_stops_solver_progress():
         manager.close()
 
 
+def test_manager_counts_only_results_delivered_before_cancel():
+    # A reader that never reads pins the full buffer, so the producer blocks
+    # in append; cancelling it there must not count the undelivered result.
+    limit = 4
+    manager = make_manager(max_concurrent=1)
+    try:
+        blocker = manager.submit("busy", k=2, q=4)
+        job = manager.submit("busy", k=2, q=4, result_buffer=limit)
+        assert job.state == JOB_PENDING
+        job.results.attach(0)
+        delivered = []
+        producer_at_full_buffer = threading.Event()
+        append = job.results.append
+
+        def tracked_append(item, *args, **kwargs):
+            if job.results.buffered == limit:
+                producer_at_full_buffer.set()
+            appended = append(item, *args, **kwargs)
+            if appended:
+                delivered.append(item)
+            return appended
+
+        job.results.append = tracked_append
+        manager.cancel(blocker.id)
+        assert producer_at_full_buffer.wait(timeout=10)
+        assert manager.cancel(job.id)
+        done = manager.wait(job.id, timeout=10)
+        assert done.state == JOB_CANCELLED
+        assert len(delivered) == limit
+        assert done.result_count == limit
+        assert done.final_record()["count"] == limit
+    finally:
+        manager.close()
+
+
 def test_manager_failed_job_captures_error():
     manager = make_manager()
     try:

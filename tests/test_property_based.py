@@ -14,9 +14,15 @@ from repro.core.bounds import degree_bound, support_bound
 from repro.core.kplex import is_maximal_kplex
 from repro.graph import Graph
 from repro.graph.bitset import mask_from_indices
-from repro.graph.core_decomposition import core_decomposition, k_core_vertices
+from repro.graph.core_decomposition import (
+    core_decomposition,
+    k_core_vertices,
+    shrink_to_core,
+)
 from repro.graph.dense import DenseSubgraph
 from repro.graph.properties import is_connected_subset, subset_diameter
+
+from _helpers import assert_matches_reference_core
 
 SETTINGS = settings(
     max_examples=40,
@@ -123,6 +129,13 @@ def test_k_core_minimum_degree(graph, k):
     sub, _ = graph.induced_subgraph(core)
     if sub.num_vertices:
         assert min(sub.degrees()) >= k
+
+
+@SETTINGS
+@given(small_graphs(), st.integers(min_value=0, max_value=4))
+def test_shrink_to_core_matches_core_numbers(graph, level):
+    core, vertex_map = shrink_to_core(graph, level)
+    assert_matches_reference_core(graph, level, core, vertex_map)
 
 
 @SETTINGS

@@ -8,7 +8,6 @@ with them under injected worker faults.  End-to-end chaos over HTTP
 lives in ``test_chaos.py``.
 """
 
-import logging
 from concurrent.futures import BrokenExecutor, Future
 
 import pytest
@@ -226,8 +225,8 @@ def test_global_injector_arms_from_environment(monkeypatch):
     import repro.resilience.faults as faults
 
     monkeypatch.setattr(faults, "_GLOBAL", None)
-    monkeypatch.setenv(faults.ENV_VAR, "shm_fail:1")
-    assert faults.fault_injector().fire("shm_fail")
+    monkeypatch.setenv(faults.ENV_VAR, "pool_build:1")
+    assert faults.fault_injector().fire("pool_build")
     monkeypatch.setattr(faults, "_GLOBAL", None)
 
 
@@ -460,16 +459,3 @@ def test_pool_build_fault_degrades_to_serial_with_full_results():
     result = parallel_enumerate_maximal_kplexes(graph, 2, 4, _process_config())
     assert {p.as_set() for p in result.kplexes} == expected
     assert result.statistics.serial_fallbacks == 1
-
-
-def test_shm_publish_failure_falls_back_loudly(caplog):
-    graph = _graph()
-    expected = {p.as_set() for p in enumerate_maximal_kplexes(graph, 2, 4)}
-    fault_injector().configure("shm_fail:1")
-    with caplog.at_level(logging.WARNING, logger="repro.resilience"):
-        result = parallel_enumerate_maximal_kplexes(
-            graph, 2, 4, _process_config(shared_memory=True)
-        )
-    assert {p.as_set() for p in result.kplexes} == expected
-    assert resilience_stats().get("shm_fallbacks") == 1
-    assert any("falling back to pickled" in rec.message for rec in caplog.records)

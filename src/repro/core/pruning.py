@@ -2,7 +2,7 @@
 
 Two families of pruning are implemented here:
 
-* :func:`prune_seed_subgraph` applies Corollary 5.2 to the vertex set of a
+* :func:`corollary_52_keep` applies Corollary 5.2 to the vertex set of a
   seed subgraph ``G_i``: a vertex that does not share enough common
   neighbours with the seed can never occur in a k-plex of size ``q`` together
   with the seed and is removed before the dense subgraph is materialised.
@@ -44,13 +44,18 @@ def corollary_52_keep(
     Removing a vertex shrinks the neighbourhoods inside ``G_i``, so the rule
     is re-applied until a fixpoint is reached (pruned vertices can never
     re-qualify, hence the iteration is monotone and terminates).
+
+    The iteration also stops as soon as fewer than ``q`` vertices are left,
+    since no caller needs the exact set then.  The contract: the result has
+    fewer than ``q`` vertices exactly when the full fixpoint does, and equals
+    the fixpoint otherwise (it is always a superset of the fixpoint).
     """
     kept: Set[int] = set(vertices)
     kept.add(seed)
     neighbor_threshold = q - 2 * k
     two_hop_threshold = q - 2 * k + 2
     changed = True
-    while changed:
+    while changed and len(kept) >= q:
         changed = False
         seed_neighbors = graph.neighbors(seed) & kept
         removable = []

@@ -10,6 +10,13 @@ seed's non-neighbours in ``G_i`` with ``|S| <= k - 1``.  Each sub-task is a
 Algorithm 3; the exclusive set ``X`` carries both the seed subgraph vertices
 excluded from ``S`` and the *external* vertices that precede ``v_i`` in the
 ordering but could still witness non-maximality.
+
+Only the external vertices with at least ``q + 1 - k`` neighbours in the
+pruned ``G_i`` are kept.  This drops no witness: a vertex ``u`` that extends
+a result ``H ⊆ G_i`` with ``|H| >= q`` makes ``H ∪ {u}`` a k-plex, so
+``|N(u) ∩ H| >= |H| + 1 - k >= q + 1 - k``.  The neighbours are counted with
+a set intersection before anything is projected into the local index, so
+the discarded majority of ``V'_i`` costs one count each.
 """
 
 from __future__ import annotations
@@ -46,8 +53,12 @@ class SeedContext:
         drawn from) as a local bitset.
     external_vertices / external_adjacency:
         The vertices of ``V'_i`` (earlier in the degeneracy ordering, within
-        two hops of the seed) and their adjacency projected into the local
-        index space; they participate only in maximality checks.
+        two hops of the seed) that have at least ``q + 1 - k`` neighbours in
+        :attr:`subgraph`, and their adjacency projected into the local index
+        space; they participate only in maximality checks.  The vertices
+        left out can extend no k-plex of ``q`` or more vertices of
+        :attr:`subgraph` (see the module docstring), so they could never
+        reject a result.
     degrees:
         Degree of every local vertex inside the pruned ``G_i`` (Theorem 5.3).
     pair_ok:
@@ -140,9 +151,16 @@ def build_seed_context(
     candidate_mask = subgraph.mask_of_parents(kept_neighbors)
     two_hop_mask = subgraph.mask_of_parents(kept_two_hop)
 
-    # External exclusive vertices: earlier in the ordering, within two hops.
+    # External exclusive vertices: earlier in the ordering, within two hops,
+    # and with at least q + 1 - k neighbours in G_i (see the module
+    # docstring).  Count with a C-level set intersection; project only the
+    # survivors.
+    external_threshold = q + 1 - k
     external_vertices = sorted(
-        vertex for vertex in reach if order_position[vertex] < seed_position
+        vertex
+        for vertex in reach
+        if order_position[vertex] < seed_position
+        and len(graph.neighbors(vertex) & kept) >= external_threshold
     )
     external_adjacency = [
         external_adjacency_mask(subgraph, vertex) for vertex in external_vertices

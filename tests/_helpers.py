@@ -47,3 +47,25 @@ def assert_matches_reference_core(graph: Graph, level: int, core: Graph, vertex_
     assert {frozenset((vertex_map[u], vertex_map[v])) for u, v in core.edges()} == {
         frozenset(edge) for edge in graph.edges() if kept.issuperset(edge)
     }
+
+
+def corollary_52_fixpoint(graph: Graph, seed: int, vertices, k: int, q: int) -> set:
+    """Corollary 5.2 iterated to its full fixpoint, with no early exit.
+
+    A plain restatement of the rule (``q - 2k`` common seed-neighbours for a
+    seed neighbour, ``q - 2k + 2`` for a two-hop vertex, applied in rounds),
+    kept as the oracle for ``corollary_52_keep``'s early-exit contract.
+    """
+    kept = set(vertices) | {seed}
+    while True:
+        seed_neighbors = graph.neighbors(seed) & kept
+        removable = {
+            u
+            for u in kept
+            if u != seed
+            and len(graph.neighbors(u) & seed_neighbors)
+            < (q - 2 * k if u in seed_neighbors else q - 2 * k + 2)
+        }
+        if not removable:
+            return kept
+        kept -= removable

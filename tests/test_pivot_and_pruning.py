@@ -9,6 +9,8 @@ from repro.graph import generators
 from repro.graph.bitset import contains, mask_from_indices
 from repro.graph.dense import DenseSubgraph
 
+from _helpers import corollary_52_fixpoint
+
 
 def _figure3_subgraph():
     graph = generators.paper_figure3_graph()
@@ -97,6 +99,24 @@ def test_corollary52_prunes_distant_low_overlap_vertices():
     kept = corollary_52_keep(graph, 0, {0, 1, 2}, k=1, q=3)
     assert 2 not in kept
     assert 0 in kept
+
+
+def test_corollary52_stops_once_fewer_than_q_vertices_remain():
+    """The early exit changes only results that are already below ``q``."""
+    stopped_early = 0
+    for seed_graph in range(6):
+        graph = generators.erdos_renyi(14, 0.4, seed=70 + seed_graph)
+        for k, q in ((1, 4), (2, 6), (3, 8)):
+            for seed_vertex in graph.vertices():
+                vertices = graph.neighborhood_within_two_hops(seed_vertex)
+                kept = corollary_52_keep(graph, seed_vertex, vertices, k, q)
+                fixpoint = corollary_52_fixpoint(graph, seed_vertex, vertices, k, q)
+                if len(fixpoint) >= q:
+                    assert kept == fixpoint
+                else:
+                    assert len(kept) < q and kept >= fixpoint
+                    stopped_early += kept != fixpoint
+    assert stopped_early > 0
 
 
 def test_corollary52_keeps_seed_always():

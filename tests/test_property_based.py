@@ -12,6 +12,8 @@ from repro.baselines.brute_force import brute_force_vertex_sets
 from repro.core import EnumerationConfig, enumerate_maximal_kplexes, is_kplex
 from repro.core.bounds import degree_bound, support_bound
 from repro.core.kplex import is_maximal_kplex
+from repro.core.pruning import corollary_52_keep
+from repro.core.query import enumerate_kplexes_containing
 from repro.graph import Graph
 from repro.graph.bitset import mask_from_indices
 from repro.graph.core_decomposition import (
@@ -21,8 +23,9 @@ from repro.graph.core_decomposition import (
 )
 from repro.graph.dense import DenseSubgraph
 from repro.graph.properties import is_connected_subset, subset_diameter
+from repro.parallel import ParallelConfig, parallel_enumerate_maximal_kplexes
 
-from _helpers import assert_matches_reference_core
+from _helpers import assert_matches_reference_core, corollary_52_fixpoint, vertex_sets
 
 SETTINGS = settings(
     max_examples=40,
@@ -171,3 +174,88 @@ def test_variants_agree(case):
     ):
         variant = {frozenset(p.vertices) for p in enumerate_maximal_kplexes(graph, k, q, config)}
         assert variant == reference
+
+
+# --------------------------------------------------------------------------- #
+# Differential harness: solvers, ablations and query mode against brute force
+# --------------------------------------------------------------------------- #
+@st.composite
+def differential_cases(draw):
+    """Graph, k and q, with q reaching k + 4 so that the seed-side cuts bite.
+
+    ``q + 1 - k`` is the external-set threshold of Algorithm 2 and
+    ``q - 2k`` that of Corollary 5.2; both filter only once ``q`` is a few
+    above ``k``.
+    """
+    graph = draw(small_graphs())
+    k = draw(st.integers(min_value=1, max_value=3))
+    q = draw(st.integers(min_value=max(2 * k - 1, 2), max_value=k + 4))
+    return graph, k, q
+
+
+ABLATIONS = (
+    EnumerationConfig.ours_p(),
+    EnumerationConfig.basic_with_r1(),
+    EnumerationConfig.basic_with_r2(),
+    EnumerationConfig.without_upper_bound(),
+    EnumerationConfig.with_fp_upper_bound(),
+    EnumerationConfig.ours().with_changes(use_seed_pruning=False),
+)
+
+
+@SETTINGS
+@given(differential_cases())
+def test_ablations_match_brute_force(case):
+    graph, k, q = case
+    expected = brute_force_vertex_sets(graph, k, q)
+    for config in ABLATIONS:
+        actual = vertex_sets(enumerate_maximal_kplexes(graph, k, q, config))
+        assert actual == expected, config
+
+
+@SETTINGS
+@given(differential_cases())
+def test_parallel_threads_match_brute_force(case):
+    """Thread-mode ``parallel`` with 2 workers, without and with task splitting.
+
+    A tiny ``timeout_seconds`` spills nearly every branch node as a
+    ``BranchState`` whose ``x_external_mask`` indexes the seed's external
+    list, so the resumed states must agree with the rebuilt context.
+    """
+    graph, k, q = case
+    expected = brute_force_vertex_sets(graph, k, q)
+    for timeout in (None, 1e-9):
+        parallel = ParallelConfig(num_workers=2, use_processes=False, timeout_seconds=timeout)
+        result = parallel_enumerate_maximal_kplexes(graph, k, q, parallel)
+        assert vertex_sets(result.kplexes) == expected, timeout
+
+
+@SETTINGS
+@given(differential_cases(), st.data())
+def test_query_mode_matches_filtered_brute_force(case, data):
+    graph, k, q = case
+    query = data.draw(
+        st.sets(
+            st.integers(min_value=0, max_value=graph.num_vertices - 1),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    expected = {members for members in brute_force_vertex_sets(graph, k, q) if query <= members}
+    actual = vertex_sets(enumerate_kplexes_containing(graph, query, k, q))
+    assert actual == expected
+
+
+@SETTINGS
+@given(differential_cases())
+def test_corollary_52_early_exit_matches_fixpoint(case):
+    """Below ``q`` exactly when the fixpoint is; equal to it otherwise."""
+    graph, k, q = case
+    for seed in graph.vertices():
+        vertices = graph.neighborhood_within_two_hops(seed)
+        kept = corollary_52_keep(graph, seed, vertices, k, q)
+        fixpoint = corollary_52_fixpoint(graph, seed, vertices, k, q)
+        assert (len(kept) < q) == (len(fixpoint) < q)
+        assert kept >= fixpoint
+        if len(fixpoint) >= q:
+            assert kept == fixpoint

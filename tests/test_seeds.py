@@ -1,11 +1,15 @@
 """Unit tests for the search-space partitioning (Algorithm 2)."""
 
+import itertools
+
 from repro.core.config import EnumerationConfig
+from repro.core.kplex import is_kplex
 from repro.core.seeds import build_seed_context, iter_seed_contexts, iter_subtasks
 from repro.core.stats import SearchStatistics
 from repro.graph import generators
 from repro.graph.bitset import bits_to_list, contains
 from repro.graph.core_decomposition import core_decomposition
+from repro.graph.prepared import prepare
 
 
 def _contexts_for(graph, k, q, config=None):
@@ -44,17 +48,72 @@ def test_candidates_are_later_neighbors_of_seed():
             assert position[vertex] > position[seed]
 
 
+def _earlier_within_two_hops(graph, position, seed):
+    reachable = graph.neighborhood_within_two_hops(seed)
+    return {vertex for vertex in reachable if position[vertex] < position[seed]}
+
+
 def test_external_vertices_are_earlier_within_two_hops():
     graph = generators.erdos_renyi(20, 0.3, seed=3)
     decomposition = core_decomposition(graph)
     position = decomposition.position()
-    for seed, context in iter_seed_contexts(graph, 2, 3, EnumerationConfig.ours(), SearchStatistics()):
+    k, q = 2, 3
+    threshold = q + 1 - k
+    dropped = 0
+    for seed, context in iter_seed_contexts(graph, k, q, EnumerationConfig.ours(), SearchStatistics()):
         if context is None:
             continue
-        reachable = graph.neighborhood_within_two_hops(seed)
-        for vertex in context.external_vertices:
-            assert position[vertex] < position[seed]
-            assert vertex in reachable
+        members = set(context.subgraph.vertices)
+        earlier = _earlier_within_two_hops(graph, position, seed)
+        # Exactly the earlier two-hop vertices with >= q + 1 - k neighbours
+        # in the seed subgraph are kept.
+        expected = {
+            vertex for vertex in earlier if len(graph.neighbors(vertex) & members) >= threshold
+        }
+        assert context.external_vertices == sorted(expected)
+        dropped += len(earlier) - len(expected)
+        for index, vertex in enumerate(context.external_vertices):
+            assert context.external_adjacency[index] == context.subgraph.mask_of_parents(
+                graph.neighbors(vertex) & members
+            )
+    assert dropped > 0
+
+
+def test_dropped_externals_extend_no_kplex_of_the_seed_subgraph():
+    """Soundness of the ``q + 1 - k`` cut on the external set ``V'_i``.
+
+    Every set the search can test for maximality is a k-plex of the seed
+    subgraph that holds the seed and has at least ``q`` vertices; this
+    includes every brute-force result of the seed's task group.  No dropped
+    external vertex may extend any of them to a larger k-plex.
+    """
+    dropped_total = 0
+    for graph_seed in range(8):
+        graph = generators.erdos_renyi(11, 0.45, seed=60 + graph_seed)
+        position = prepare(graph).position
+        for k, q in ((1, 3), (2, 4), (2, 5), (3, 5), (3, 6)):
+            contexts = iter_seed_contexts(graph, k, q, EnumerationConfig.ours(), SearchStatistics())
+            for seed, context in contexts:
+                if context is None:
+                    continue
+                dropped = sorted(
+                    _earlier_within_two_hops(graph, position, seed)
+                    - set(context.external_vertices)
+                )
+                dropped_total += len(dropped)
+                if not dropped:
+                    continue
+                others = context.subgraph.vertices[1:]
+                for size in range(q - 1, len(others) + 1):
+                    for rest in itertools.combinations(others, size):
+                        members = (seed,) + rest
+                        if not is_kplex(graph, members, k):
+                            continue
+                        for vertex in dropped:
+                            assert not is_kplex(graph, members + (vertex,), k), (
+                                seed, members, vertex, k, q
+                            )
+    assert dropped_total > 0
 
 
 def test_small_seed_neighbourhoods_are_skipped():

@@ -25,8 +25,7 @@ from ..core.branch import BranchSearcher
 from ..core.config import UPPER_BOUND_FP, EnumerationConfig
 from ..core.enumerator import EnumerationResult
 from ..core.kplex import KPlex, validate_parameters
-from ..core.pruning import corollary_52_keep
-from ..core.seeds import SeedContext, SubTask
+from ..core.seeds import SeedContext, SubTask, seed_subgraph_vertices
 from ..core.stats import SearchStatistics
 from ..graph import Graph
 from ..graph.core_decomposition import core_decomposition, shrink_to_core
@@ -54,35 +53,17 @@ def build_fp_seed_context(
     stats: Optional[SearchStatistics] = None,
 ) -> Optional[SeedContext]:
     """Build an FP-style seed context: one candidate set, no sub-task split."""
-    seed_position = order_position[seed_vertex]
-    neighbors = graph.neighbors(seed_vertex)
-    two_hops = graph.two_hop_neighbors(seed_vertex)
-    later = [
-        vertex for vertex in neighbors | two_hops if order_position[vertex] > seed_position
-    ]
-    candidate_vertices = set(later)
-    candidate_vertices.add(seed_vertex)
-    if len(candidate_vertices) < q:
-        if stats is not None:
-            stats.seeds_pruned_empty += 1
+    members = seed_subgraph_vertices(
+        graph, order_position, seed_vertex, k, q, use_seed_pruning, stats
+    )
+    if members is None:
         return None
-    if use_seed_pruning:
-        kept = corollary_52_keep(graph, seed_vertex, candidate_vertices, k, q)
-        if stats is not None:
-            stats.vertices_pruned_by_corollary += len(candidate_vertices) - len(kept)
-    else:
-        kept = set(candidate_vertices)
-    if len(kept) < q:
-        if stats is not None:
-            stats.seeds_pruned_empty += 1
-        return None
+    kept_neighbors, kept_two_hop, earlier = members
 
-    local_vertices = [seed_vertex] + sorted(kept - {seed_vertex})
+    local_vertices = [seed_vertex] + sorted(kept_neighbors + kept_two_hop)
     subgraph = DenseSubgraph(graph, local_vertices)
     candidate_mask = subgraph.full_mask & ~1  # everyone except the seed (index 0)
-    external_vertices = sorted(
-        vertex for vertex in neighbors | two_hops if order_position[vertex] < seed_position
-    )
+    external_vertices = sorted(earlier)
     external_adjacency = [
         external_adjacency_mask(subgraph, vertex) for vertex in external_vertices
     ]

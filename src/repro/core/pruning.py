@@ -6,6 +6,9 @@ Two families of pruning are implemented here:
   seed subgraph ``G_i``: a vertex that does not share enough common
   neighbours with the seed can never occur in a k-plex of size ``q`` together
   with the seed and is removed before the dense subgraph is materialised.
+  Its two halves, :func:`corollary_52_neighbors` and
+  :func:`corollary_52_two_hop`, let a seed builder reject a seed on its
+  neighbours alone before it computes the seed's two-hop vertices.
 
 * :func:`build_pair_matrix` precomputes the boolean co-occurrence matrix ``T``
   of Theorems 5.13–5.15.  ``T[u][v]`` is ``False`` when ``u`` and ``v`` cannot
@@ -17,58 +20,86 @@ Two families of pruning are implemented here:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set
 
 from ..graph import Graph
 from ..graph.bitset import iter_bits
 from ..graph.dense import DenseSubgraph
 
 
+def corollary_52_neighbors(
+    graph: Graph, neighbors: Iterable[int], k: int, q: int
+) -> Set[int]:
+    """The neighbour half of Corollary 5.2: its fixpoint ``S*`` over ``neighbors``.
+
+    ``neighbors`` are the seed's neighbours in ``G_i``.  A neighbour ``u`` is
+    pruned when ``|N(u) ∩ S| < q - 2k``, where ``S`` is the set of seed
+    neighbours still kept; the rule is re-applied until nothing changes.
+    It never looks at the seed's two-hop vertices, because both thresholds
+    of the corollary count only kept seed neighbours.
+
+    The iteration stops as soon as fewer than ``q - k`` vertices are left,
+    and such a result rejects the seed: the seed has at least
+    ``|P| - k >= q - k`` neighbours in any k-plex ``P ∋ seed`` of ``G_i``
+    with ``|P| >= q``, and every one of them lies in ``S*``.  The contract:
+    the result has fewer than ``q - k`` vertices exactly when ``S*`` does,
+    and equals ``S*`` otherwise.
+    """
+    kept = set(neighbors)
+    threshold = q - 2 * k
+    floor = q - k
+    while len(kept) >= floor:
+        removable = [u for u in kept if len(graph.neighbors(u) & kept) < threshold]
+        if not removable:
+            break
+        kept.difference_update(removable)
+    return kept
+
+
+def corollary_52_two_hop(
+    graph: Graph, kept_neighbors: Set[int], two_hop: Iterable[int], k: int, q: int
+) -> List[int]:
+    """The two-hop half of Corollary 5.2, applied once against ``S*``.
+
+    Keeps the vertices ``u`` of ``two_hop`` (the seed's non-neighbours in
+    ``G_i``) with ``|N(u) ∩ S*| >= q - 2k + 2``.  One pass is the fixpoint:
+    removing two-hop vertices changes no count.
+    """
+    threshold = q - 2 * k + 2
+    return [u for u in two_hop if len(graph.neighbors(u) & kept_neighbors) >= threshold]
+
+
 def corollary_52_keep(
-    graph: Graph,
-    seed: int,
-    vertices: Sequence[int],
-    k: int,
-    q: int,
-    iterate_to_fixpoint: bool = True,
+    graph: Graph, seed: int, vertices: Iterable[int], k: int, q: int
 ) -> Set[int]:
     """Return the subset of ``vertices`` that survives Corollary 5.2.
 
-    ``vertices`` is the candidate vertex set ``V_i`` of seed ``seed`` (the seed
-    itself must be included and is never pruned).  A vertex ``u`` is pruned
-    when
+    ``vertices`` is the candidate vertex set ``V_i`` of seed ``seed`` (the
+    seed is always kept).  A vertex ``u`` is pruned when
 
     * ``u ∈ N(seed)`` and ``|N(u) ∩ N(seed)| < q - 2k`` inside ``G_i``, or
-    * ``u ∈ N²(seed)`` and ``|N(u) ∩ N(seed)| < q - 2k + 2`` inside ``G_i``.
+    * ``u ∈ N²(seed)`` and ``|N(u) ∩ N(seed)| < q - 2k + 2`` inside ``G_i``,
 
-    Removing a vertex shrinks the neighbourhoods inside ``G_i``, so the rule
-    is re-applied until a fixpoint is reached (pruned vertices can never
-    re-qualify, hence the iteration is monotone and terminates).
+    re-applied until a fixpoint is reached.  Both counts range over kept
+    seed neighbours only, so the neighbours' fixpoint ``S*`` is computed
+    first (:func:`corollary_52_neighbors`) and the non-neighbours are then
+    filtered against it in one pass (:func:`corollary_52_two_hop`).
 
-    The iteration also stops as soon as fewer than ``q`` vertices are left,
-    since no caller needs the exact set then.  The contract: the result has
-    fewer than ``q`` vertices exactly when the full fixpoint does, and equals
-    the fixpoint otherwise (it is always a superset of the fixpoint).
+    When ``S*`` has fewer than ``q - k`` vertices the seed lies in no k-plex
+    of ``q`` or more vertices, and the non-neighbours are not looked at.
+    The contract: the result has fewer than ``q`` vertices exactly when the
+    full fixpoint does or its ``S*`` has fewer than ``q - k`` vertices, and
+    equals the fixpoint otherwise.  For ``k <= 2`` the second condition
+    implies the first (a non-neighbour then needs more seed neighbours than
+    ``S*`` has), so the cut only adds rejections for ``k >= 3``.
     """
-    kept: Set[int] = set(vertices)
+    candidates = set(vertices)
+    candidates.discard(seed)
+    neighbors = graph.neighbors(seed)
+    kept = corollary_52_neighbors(graph, candidates & neighbors, k, q)
+    if len(kept) >= q - k:
+        kept.update(corollary_52_two_hop(graph, kept, candidates - neighbors, k, q))
     kept.add(seed)
-    neighbor_threshold = q - 2 * k
-    two_hop_threshold = q - 2 * k + 2
-    changed = True
-    while changed and len(kept) >= q:
-        changed = False
-        seed_neighbors = graph.neighbors(seed) & kept
-        removable = []
-        for u in kept:
-            if u == seed:
-                continue
-            common = len(graph.neighbors(u) & seed_neighbors)
-            threshold = neighbor_threshold if u in seed_neighbors else two_hop_threshold
-            if common < threshold:
-                removable.append(u)
-        if removable:
-            kept.difference_update(removable)
-            changed = iterate_to_fixpoint
     return kept
 
 

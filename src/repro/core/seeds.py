@@ -11,6 +11,21 @@ Algorithm 3; the exclusive set ``X`` carries both the seed subgraph vertices
 excluded from ``S`` and the *external* vertices that precede ``v_i`` in the
 ordering but could still witness non-maximality.
 
+Corollary 5.2 runs in an order that rejects a doomed seed before anything
+two hops away is touched.  Both of its thresholds count only the seed's kept
+*neighbours* (``|N(u) ∩ N(v_i) ∩ kept|``), so the neighbour rule
+(``< q - 2k``) is first iterated to its fixpoint ``S*`` over the later
+neighbours alone.  The seed is rejected when ``|S*| < q - k``: in any k-plex
+``P ∋ v_i`` of ``G_i`` with ``|P| >= q`` the seed has at least
+``|P| - k >= q - k`` neighbours, and Corollary 5.2 never prunes a member of
+``P``, so all of them lie in ``S*``.  For ``k <= 2`` the corollary itself
+already implies this cut (a two-hop vertex needs ``q - 2k + 2 > |S*|``
+neighbours in ``S*``, so ``G_i`` would keep fewer than ``q`` vertices); for
+``k >= 3`` it rejects more seeds.  Only a surviving seed computes its two-hop
+vertices, and keeps the later ones with ``|N(u) ∩ S*| >= q - 2k + 2`` in a
+single pass, since dropping two-hop vertices changes no count.  A kept
+seed's ``G_i`` is exactly the corollary's fixpoint.
+
 Only the external vertices with at least ``q + 1 - k`` neighbours in the
 pruned ``G_i`` are kept.  This drops no witness: a vertex ``u`` that extends
 a result ``H ⊆ G_i`` with ``|H| >= q`` makes ``H ∪ {u}`` a k-plex, so
@@ -30,7 +45,7 @@ from ..graph.dense import DenseSubgraph, external_adjacency_mask
 from ..graph.prepared import PreparedGraph, prepare
 from .bounds import seed_task_bound
 from .config import EnumerationConfig
-from .pruning import build_pair_matrix, corollary_52_keep
+from .pruning import build_pair_matrix, corollary_52_neighbors, corollary_52_two_hop
 from .stats import SearchStatistics
 
 
@@ -97,6 +112,54 @@ class SubTask:
         return f"seed={context.seed_vertex} P={members}"
 
 
+def seed_subgraph_vertices(
+    graph: Graph,
+    order_position: Sequence[int],
+    seed_vertex: int,
+    k: int,
+    q: int,
+    use_seed_pruning: bool,
+    stats: Optional[SearchStatistics] = None,
+) -> Optional[Tuple[List[int], List[int], List[int]]]:
+    """The vertices of one seed's pruned ``G_i``, or ``None`` if the seed is rejected.
+
+    Returns the kept later neighbours and the kept later two-hop vertices of
+    ``seed_vertex`` (each sorted by vertex id), and the earlier vertices
+    within two hops (the pool of external vertices).  With
+    ``use_seed_pruning`` Corollary 5.2 runs in the order of the module
+    docstring, so a seed rejected on its neighbours never pays for the
+    two-hop sweep.  ``None`` is returned, and counted in
+    ``stats.seeds_pruned_empty``, when ``G_i`` cannot hold a k-plex with
+    ``q`` vertices.
+    """
+    seed_position = order_position[seed_vertex]
+    neighbors = graph.neighbors(seed_vertex)
+    later_neighbors = {v for v in neighbors if order_position[v] > seed_position}
+    kept_neighbors = later_neighbors
+    if use_seed_pruning:
+        kept_neighbors = corollary_52_neighbors(graph, later_neighbors, k, q)
+        if stats is not None:
+            stats.vertices_pruned_by_corollary += len(later_neighbors) - len(kept_neighbors)
+        if len(kept_neighbors) < q - k:
+            if stats is not None:
+                stats.seeds_pruned_empty += 1
+            return None
+
+    two_hop = graph.two_hop_neighbors(seed_vertex)
+    later_two_hop = [v for v in two_hop if order_position[v] > seed_position]
+    kept_two_hop = later_two_hop
+    if use_seed_pruning:
+        kept_two_hop = corollary_52_two_hop(graph, kept_neighbors, later_two_hop, k, q)
+        if stats is not None:
+            stats.vertices_pruned_by_corollary += len(later_two_hop) - len(kept_two_hop)
+    if 1 + len(kept_neighbors) + len(kept_two_hop) < q:
+        if stats is not None:
+            stats.seeds_pruned_empty += 1
+        return None
+    earlier = [v for v in neighbors | two_hop if order_position[v] < seed_position]
+    return sorted(kept_neighbors), sorted(kept_two_hop), earlier
+
+
 def build_seed_context(
     graph: Graph,
     order_position: Sequence[int],
@@ -117,34 +180,16 @@ def build_seed_context(
     speeds this function up only through what it *caches* (the ordering and
     the shrunk core the caller passes in).
     """
-    seed_position = order_position[seed_vertex]
-    neighbors = graph.neighbors(seed_vertex)
-    reach = neighbors | graph.two_hop_neighbors(seed_vertex)
-
-    later = [vertex for vertex in reach if order_position[vertex] > seed_position]
-    candidate_vertices = set(later)
-    candidate_vertices.add(seed_vertex)
-    if len(candidate_vertices) < q:
-        if stats is not None:
-            stats.seeds_pruned_empty += 1
+    members = seed_subgraph_vertices(
+        graph, order_position, seed_vertex, k, q, config.use_seed_pruning, stats
+    )
+    if members is None:
         return None
-
-    if config.use_seed_pruning:
-        kept = corollary_52_keep(graph, seed_vertex, candidate_vertices, k, q)
-        if stats is not None:
-            stats.vertices_pruned_by_corollary += len(candidate_vertices) - len(kept)
-    else:
-        kept = set(candidate_vertices)
-    if len(kept) < q:
-        if stats is not None:
-            stats.seeds_pruned_empty += 1
-        return None
+    kept_neighbors, kept_two_hop, earlier = members
 
     # Local ordering: seed first, then its neighbours, then its non-neighbours,
     # each group sorted by vertex id.  Keeping the seed at index 0 makes masks
     # easy to reason about in tests.
-    kept_neighbors = sorted(v for v in kept if v in neighbors)
-    kept_two_hop = sorted(v for v in kept if v != seed_vertex and v not in neighbors)
     local_vertices = [seed_vertex] + kept_neighbors + kept_two_hop
     subgraph = DenseSubgraph(graph, local_vertices)
     seed_local = 0
@@ -155,12 +200,12 @@ def build_seed_context(
     # and with at least q + 1 - k neighbours in G_i (see the module
     # docstring).  Count with a C-level set intersection; project only the
     # survivors.
+    kept = set(local_vertices)
     external_threshold = q + 1 - k
     external_vertices = sorted(
         vertex
-        for vertex in reach
-        if order_position[vertex] < seed_position
-        and len(graph.neighbors(vertex) & kept) >= external_threshold
+        for vertex in earlier
+        if len(graph.neighbors(vertex) & kept) >= external_threshold
     )
     external_adjacency = [
         external_adjacency_mask(subgraph, vertex) for vertex in external_vertices

@@ -28,6 +28,8 @@ _PER_SEED_PRUNE_AT = 4 * PER_SEED_TOP_N
 class SearchStatistics:
     """Mutable counters filled in by the enumerator."""
 
+    # Every seed tried is counted once: ``seeds`` when its task group is
+    # built, ``seeds_pruned_empty`` when it is rejected.
     seeds: int = 0
     seed_subgraph_vertices: int = 0
     seeds_pruned_empty: int = 0
@@ -37,6 +39,10 @@ class SearchStatistics:
     outputs: int = 0
     branches_pruned_by_upper_bound: int = 0
     candidates_pruned_by_pairs: int = 0
+    # Vertices Corollary 5.2 dropped from seed subgraphs.  A seed rejected on
+    # its neighbours (fewer than q - k survive) adds only the later
+    # neighbours dropped before the reject; its two-hop vertices are never
+    # computed, so they are not counted.
     vertices_pruned_by_corollary: int = 0
     maximality_rejections: int = 0
     elapsed_seconds: float = 0.0

@@ -9,9 +9,11 @@ where pytest injects them by name.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import List
 
+from repro.core.kplex import is_kplex
 from repro.graph import Graph, generators, set_backed_core_decomposition
 
 
@@ -54,7 +56,7 @@ def corollary_52_fixpoint(graph: Graph, seed: int, vertices, k: int, q: int) -> 
 
     A plain restatement of the rule (``q - 2k`` common seed-neighbours for a
     seed neighbour, ``q - 2k + 2`` for a two-hop vertex, applied in rounds),
-    kept as the oracle for ``corollary_52_keep``'s early-exit contract.
+    kept as the oracle for ``corollary_52_keep``'s contract.
     """
     kept = set(vertices) | {seed}
     while True:
@@ -69,3 +71,23 @@ def corollary_52_fixpoint(graph: Graph, seed: int, vertices, k: int, q: int) -> 
         if not removable:
             return kept
         kept -= removable
+
+
+def corollary_52_rejects(graph: Graph, seed: int, fixpoint: set, k: int, q: int) -> bool:
+    """Whether ``corollary_52_keep`` returns fewer than ``q`` vertices.
+
+    Its contract: exactly when the full ``fixpoint`` has fewer than ``q``
+    vertices or fewer than ``q - k`` seed neighbours.
+    """
+    return len(fixpoint) < q or len(fixpoint & graph.neighbors(seed)) < q - k
+
+
+def seed_in_large_kplex(graph: Graph, seed: int, vertices, k: int, q: int) -> bool:
+    """Brute force: does some k-plex of ``>= q`` of ``vertices`` hold ``seed``?
+
+    k-plexes are hereditary, so it suffices to try the ``q``-subsets.
+    """
+    others = sorted(set(vertices) - {seed})
+    return any(
+        is_kplex(graph, (seed,) + rest, k) for rest in itertools.combinations(others, q - 1)
+    )

@@ -9,7 +9,7 @@ from repro.graph import generators
 from repro.graph.bitset import contains, mask_from_indices
 from repro.graph.dense import DenseSubgraph
 
-from _helpers import corollary_52_fixpoint
+from _helpers import corollary_52_fixpoint, corollary_52_rejects
 
 
 def _figure3_subgraph():
@@ -102,7 +102,12 @@ def test_corollary52_prunes_distant_low_overlap_vertices():
 
 
 def test_corollary52_stops_once_fewer_than_q_vertices_remain():
-    """The early exit changes only results that are already below ``q``."""
+    """The early exits change only results that are rejected anyway.
+
+    A result is rejected (fewer than ``q`` vertices) exactly when the full
+    fixpoint has fewer than ``q`` vertices or fewer than ``q - k`` seed
+    neighbours; every other result equals the fixpoint.
+    """
     stopped_early = 0
     for seed_graph in range(6):
         graph = generators.erdos_renyi(14, 0.4, seed=70 + seed_graph)
@@ -111,11 +116,11 @@ def test_corollary52_stops_once_fewer_than_q_vertices_remain():
                 vertices = graph.neighborhood_within_two_hops(seed_vertex)
                 kept = corollary_52_keep(graph, seed_vertex, vertices, k, q)
                 fixpoint = corollary_52_fixpoint(graph, seed_vertex, vertices, k, q)
-                if len(fixpoint) >= q:
-                    assert kept == fixpoint
-                else:
-                    assert len(kept) < q and kept >= fixpoint
+                if corollary_52_rejects(graph, seed_vertex, fixpoint, k, q):
+                    assert len(kept) < q and seed_vertex in kept
                     stopped_early += kept != fixpoint
+                else:
+                    assert kept == fixpoint
     assert stopped_early > 0
 
 

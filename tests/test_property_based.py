@@ -8,6 +8,7 @@ the enumerator against the brute-force oracle.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import EnumerationRequest, KPlexEngine
 from repro.baselines.brute_force import brute_force_vertex_sets
 from repro.core import EnumerationConfig, enumerate_maximal_kplexes, is_kplex
 from repro.core.bounds import degree_bound, support_bound
@@ -25,7 +26,13 @@ from repro.graph.dense import DenseSubgraph
 from repro.graph.properties import is_connected_subset, subset_diameter
 from repro.parallel import ParallelConfig, parallel_enumerate_maximal_kplexes
 
-from _helpers import assert_matches_reference_core, corollary_52_fixpoint, vertex_sets
+from _helpers import (
+    assert_matches_reference_core,
+    corollary_52_fixpoint,
+    corollary_52_rejects,
+    seed_in_large_kplex,
+    vertex_sets,
+)
 
 SETTINGS = settings(
     max_examples=40,
@@ -215,6 +222,20 @@ def test_ablations_match_brute_force(case):
 
 @SETTINGS
 @given(differential_cases())
+def test_baseline_solvers_match_brute_force(case):
+    """The registered baselines through the engine: ``fp`` (which shares
+    Corollary 5.2 with ``ours``), ``listplex``, and ``bron-kerbosch`` at
+    ``k = 1``, where it enumerates maximal cliques."""
+    graph, k, q = case
+    expected = brute_force_vertex_sets(graph, k, q)
+    engine = KPlexEngine()
+    for solver in ("fp", "listplex") + (("bron-kerbosch",) if k == 1 else ()):
+        response = engine.solve(EnumerationRequest(graph=graph, k=k, q=q, solver=solver))
+        assert vertex_sets(response.kplexes) == expected, solver
+
+
+@SETTINGS
+@given(differential_cases())
 def test_parallel_threads_match_brute_force(case):
     """Thread-mode ``parallel`` with 2 workers, without and with task splitting.
 
@@ -249,13 +270,22 @@ def test_query_mode_matches_filtered_brute_force(case, data):
 @SETTINGS
 @given(differential_cases())
 def test_corollary_52_early_exit_matches_fixpoint(case):
-    """Below ``q`` exactly when the fixpoint is; equal to it otherwise."""
+    """Below ``q`` exactly when the fixpoint is or keeps < ``q - k`` seed
+    neighbours; equal to the fixpoint otherwise.
+
+    For ``k <= 2`` the ``q - k`` reject is implied by the fixpoint being
+    below ``q``; where it rejects more (``k >= 3``) the seed must lie in no
+    k-plex of ``q`` or more of the fixpoint's vertices.
+    """
     graph, k, q = case
     for seed in graph.vertices():
         vertices = graph.neighborhood_within_two_hops(seed)
         kept = corollary_52_keep(graph, seed, vertices, k, q)
         fixpoint = corollary_52_fixpoint(graph, seed, vertices, k, q)
-        assert (len(kept) < q) == (len(fixpoint) < q)
-        assert kept >= fixpoint
-        if len(fixpoint) >= q:
+        rejected = corollary_52_rejects(graph, seed, fixpoint, k, q)
+        assert (len(kept) < q) == rejected
+        if not rejected:
             assert kept == fixpoint
+        elif len(fixpoint) >= q:
+            assert k >= 3
+            assert not seed_in_large_kplex(graph, seed, fixpoint, k, q)

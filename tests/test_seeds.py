@@ -2,14 +2,19 @@
 
 import itertools
 
+from repro.baselines.fp import FPLike
 from repro.core.config import EnumerationConfig
 from repro.core.kplex import is_kplex
+from repro.core.pruning import build_pair_matrix
 from repro.core.seeds import build_seed_context, iter_seed_contexts, iter_subtasks
 from repro.core.stats import SearchStatistics
 from repro.graph import generators
 from repro.graph.bitset import bits_to_list, contains
 from repro.graph.core_decomposition import core_decomposition
+from repro.graph.dense import DenseSubgraph, external_adjacency_mask
 from repro.graph.prepared import prepare
+
+from _helpers import corollary_52_fixpoint, random_graph_cases, seed_in_large_kplex
 
 
 def _contexts_for(graph, k, q, config=None):
@@ -220,3 +225,120 @@ def test_degrees_match_subgraph():
             assert context.degrees[local] == context.subgraph.degree(local)
         if context.pair_ok is not None:
             assert len(context.pair_ok) == context.subgraph.size
+
+
+def _interleaved_context_fields(graph, position, seed, k, q):
+    """The seed context built from the interleaved Corollary 5.2 fixpoint.
+
+    Restates the construction of ``build_seed_context`` on top of
+    ``corollary_52_fixpoint``: the two-hop sweep first, then the rule over
+    all later vertices within two hops.  Returns ``None`` when the fixpoint
+    keeps fewer than ``q`` vertices, else ``(fixpoint, fields)``.
+    """
+    reach = graph.neighborhood_within_two_hops(seed) - {seed}
+    later = {v for v in reach if position[v] > position[seed]}
+    kept = corollary_52_fixpoint(graph, seed, later, k, q)
+    if len(kept) < q:
+        return None
+    neighbors = sorted(kept & graph.neighbors(seed))
+    two_hop = sorted(kept - graph.neighbors(seed) - {seed})
+    subgraph = DenseSubgraph(graph, [seed] + neighbors + two_hop)
+    candidate_mask = subgraph.mask_of_parents(neighbors)
+    two_hop_mask = subgraph.mask_of_parents(two_hop)
+    externals = sorted(
+        v
+        for v in reach
+        if position[v] < position[seed] and len(graph.neighbors(v) & kept) >= q + 1 - k
+    )
+    fields = {
+        "vertices": subgraph.vertices,
+        "adjacency": subgraph.adjacency,
+        "candidate_mask": candidate_mask,
+        "two_hop_mask": two_hop_mask,
+        "external_vertices": externals,
+        "external_adjacency": [external_adjacency_mask(subgraph, v) for v in externals],
+        "degrees": [subgraph.degree(v) for v in range(subgraph.size)],
+        "pair_ok": build_pair_matrix(subgraph, 0, candidate_mask, two_hop_mask, k, q),
+    }
+    return kept, fields
+
+
+def _context_fields(context):
+    return {
+        "vertices": context.subgraph.vertices,
+        "adjacency": context.subgraph.adjacency,
+        "candidate_mask": context.candidate_mask,
+        "two_hop_mask": context.two_hop_mask,
+        "external_vertices": context.external_vertices,
+        "external_adjacency": context.external_adjacency,
+        "degrees": context.degrees,
+        "pair_ok": context.pair_ok,
+    }
+
+
+def test_neighbour_first_corollary_builds_the_interleaved_context():
+    """Rejecting on ``S*`` before the two-hop sweep changes no kept seed.
+
+    Wherever the interleaved fixpoint keeps ``q`` or more vertices the
+    context is identical field by field; elsewhere the seed is rejected.
+    A seed rejected only by the ``|S*| < q - k`` cut (possible for
+    ``k >= 3``) must lie in no k-plex of ``q`` or more vertices of ``G_i``.
+    """
+    config = EnumerationConfig.ours()
+    compared = cut_only = 0
+    for graph in random_graph_cases(10, max_vertices=14, seed=18):
+        position = prepare(graph).position
+        for k in (1, 2, 3):
+            for q in range(max(2 * k - 1, 2), 2 * k + 4):
+                for seed in graph.vertices():
+                    context = build_seed_context(graph, position, seed, k, q, config)
+                    reference = _interleaved_context_fields(graph, position, seed, k, q)
+                    if reference is None:
+                        assert context is None, (seed, k, q)
+                        continue
+                    fixpoint, fields = reference
+                    if context is None:
+                        assert k >= 3 and len(fixpoint & graph.neighbors(seed)) < q - k
+                        assert not seed_in_large_kplex(graph, seed, fixpoint, k, q)
+                        cut_only += 1
+                        continue
+                    assert context.seed_local == 0
+                    assert _context_fields(context) == fields, (seed, k, q)
+                    compared += 1
+    assert compared > 50
+    assert cut_only > 0
+
+
+def test_seed_statistics_account_for_every_seed():
+    """``seeds + seeds_pruned_empty`` is the number of seeds tried.
+
+    The corollary counter grows only by vertices the rule dropped: a seed
+    rejected on its neighbours adds only the later neighbours it dropped.
+    """
+    for graph in random_graph_cases(6, max_vertices=14, seed=19):
+        tried = core_decomposition(graph).order
+        for k, q in ((1, 3), (2, 4), (2, 6), (3, 6)):
+            for use_seed_pruning in (True, False):
+                config = EnumerationConfig.ours().with_changes(use_seed_pruning=use_seed_pruning)
+                contexts, stats = _contexts_for(graph, k, q, config)
+                assert len(contexts) == len(tried)
+                assert stats.seeds + stats.seeds_pruned_empty == len(tried)
+                assert stats.seeds == sum(context is not None for _, context in contexts)
+                if not use_seed_pruning:
+                    assert stats.vertices_pruned_by_corollary == 0
+            runner = FPLike(graph, k, q)
+            runner.run()
+            core_seeds = runner._core_graph.num_vertices if runner._decomposition else 0
+            assert runner.statistics.seeds + runner.statistics.seeds_pruned_empty == core_seeds
+
+
+def test_seed_rejected_on_neighbours_counts_only_dropped_neighbours():
+    # Seed 0 of a 5-cycle has two later neighbours, 1 and 4, which share no
+    # neighbour: with k = 1, q = 3 both fail ``q - 2k = 1`` and the seed is
+    # rejected before its two-hop vertices 2 and 3 are looked at.
+    graph = generators.cycle_graph(5)
+    stats = SearchStatistics()
+    position = list(range(graph.num_vertices))
+    assert build_seed_context(graph, position, 0, 1, 3, EnumerationConfig.ours(), stats) is None
+    assert stats.seeds_pruned_empty == 1
+    assert stats.vertices_pruned_by_corollary == 2

@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-quick bench-full lint lint-baseline examples
+.PHONY: test bench-quick bench-full lint lint-baseline examples soak
 
 # Tier-1: the full unit/integration suite (collection is configured in
 # pyproject.toml, so plain `python -m pytest` works too).
@@ -35,3 +35,9 @@ lint-baseline:
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f >/dev/null || exit 1; done; echo "all examples OK"
+
+# Run the concurrency-sensitive tests 20 times, stopping at the first failure
+# (a flake hunt; not part of CI).
+SOAK_TESTS = tests/test_jobs.py tests/test_server_jobs.py tests/test_service.py tests/test_chaos.py
+soak:
+	@for i in $$(seq 1 20); do echo "== soak round $$i"; $(PYTHON) -m pytest -x -q $(SOAK_TESTS) || exit 1; done; echo "soak: 20 rounds passed"

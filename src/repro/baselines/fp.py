@@ -19,11 +19,10 @@ The re-implementation below reuses the shared branch-and-bound engine with
 from __future__ import annotations
 
 import time
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Set
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..core.branch import BranchSearcher
 from ..core.config import UPPER_BOUND_FP, EnumerationConfig
-from ..core.enumerator import EnumerationResult
+from ..core.enumerator import EnumerationResult, mine_seed
 from ..core.kplex import KPlex, validate_parameters
 from ..core.seeds import SeedContext, SubTask, seed_subgraph_vertices
 from ..core.stats import SearchStatistics
@@ -69,7 +68,7 @@ def build_fp_seed_context(
     ]
     degrees = [subgraph.degree(v) for v in range(subgraph.size)]
     if stats is not None:
-        stats.record_seed(seed_vertex, subgraph.size)
+        stats.record_seed(subgraph.size)
     return SeedContext(
         seed_vertex=seed_vertex,
         subgraph=subgraph,
@@ -108,45 +107,52 @@ class FPLike:
         """Lazily yield maximal k-plexes, one seed's task group at a time."""
         started = time.perf_counter()
         try:
-            yield from self._iter_results_inner()
+            for _calls, found in self.iter_seed_groups():
+                yield from found
         finally:
             # Abandoned generators (cancellation, budgets) still record time.
             duration = time.perf_counter() - started
             self.statistics.search_seconds += duration
             self.statistics.elapsed_seconds += duration
 
-    def _iter_results_inner(self) -> Iterator[KPlex]:
-        core = self._core_graph
-        if self._decomposition is not None:
-            decomposition = self._decomposition
-            position = decomposition.position()
-            for seed_vertex in decomposition.order:
-                context = build_fp_seed_context(
-                    core, position, seed_vertex, self.k, self.q, stats=self.statistics
-                )
-                if context is None:
-                    continue
-                self.statistics.subtasks += 1
-                found: List[KPlex] = []
-                searcher = BranchSearcher(
-                    context,
-                    self.k,
-                    self.q,
-                    self.config,
-                    self.statistics,
-                    on_result=lambda mask, ctx=context, sink=found: sink.append(
-                        self._translate(ctx, mask)
-                    ),
-                )
-                searcher.run_subtask(
+    def iter_seed_groups(self) -> Iterator[Tuple[int, List[KPlex]]]:
+        """Mine seed by seed; yield each seed's branch calls and its results."""
+        if self._decomposition is None:
+            return
+        decomposition = self._decomposition
+        position = decomposition.position()
+        for seed_vertex in decomposition.order:
+            context = build_fp_seed_context(
+                self._core_graph,
+                position,
+                seed_vertex,
+                self.k,
+                self.q,
+                stats=self.statistics,
+            )
+            if context is None:
+                continue
+            self.statistics.subtasks += 1
+            found: List[KPlex] = []
+            (calls,) = mine_seed(
+                context,
+                [
                     SubTask(
                         p_mask=1,
                         c_mask=context.candidate_mask,
                         x_mask=0,
                         x_external_mask=(1 << len(context.external_vertices)) - 1,
                     )
-                )
-                yield from found
+                ],
+                self.k,
+                self.q,
+                self.config,
+                self.statistics,
+                on_result=lambda mask, ctx=context, sink=found: sink.append(
+                    self._translate(ctx, mask)
+                ),
+            )
+            yield calls, found
 
     def run(self) -> EnumerationResult:
         """Enumerate all maximal k-plexes with at least ``q`` vertices."""

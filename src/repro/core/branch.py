@@ -180,7 +180,7 @@ class BranchSearcher:
         context = self.context
         adjacency = context.subgraph.adjacency
         stats = self.stats
-        stats.record_branch(context.seed_vertex)
+        stats.branch_calls += 1
 
         k = self.k
         q = self.q

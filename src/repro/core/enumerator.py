@@ -10,6 +10,14 @@
    the Theorem 5.7 bound, rule R1);
 5. mine every sub-task with the branch-and-bound search of Algorithm 3.
 
+Step 5 is :func:`mine_seed`, the one place a seed's task group is mined.
+Every path that runs Algorithm 3 goes through it: this enumerator, the
+parallel workers, the FP baseline, query mode and the cost collection of the
+simulated scheduler.  It resumes the branch states a ``τ_time`` timeout
+spills before starting the next sub-task, returns each sub-task's branch
+calls, and records the seed's total in the heavy-seed table of
+:class:`SearchStatistics`.
+
 Results are reported as :class:`~repro.core.kplex.KPlex` records whose vertex
 ids and labels refer to the *original* input graph.
 """
@@ -17,18 +25,59 @@ ids and labels refer to the *original* input graph.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ParameterError
 from ..graph import Graph
 from ..graph.prepared import prepare
 from ..obs import start_span
-from .branch import BranchSearcher
+from .branch import BranchSearcher, ResultCallback
 from .config import EnumerationConfig
 from .kplex import KPlex, validate_parameters
-from .seeds import SeedContext, iter_seed_contexts, iter_subtasks
+from .seeds import SeedContext, SubTask, iter_seed_contexts, iter_subtasks
 from .stats import SearchStatistics
+
+
+def mine_seed(
+    context: SeedContext,
+    tasks: Iterable[SubTask],
+    k: int,
+    q: int,
+    config: EnumerationConfig,
+    stats: SearchStatistics,
+    on_result: ResultCallback,
+    timeout: Optional[float] = None,
+) -> List[int]:
+    """Mine one seed's task group with Algorithm 3.
+
+    Each sub-task of ``tasks`` runs to completion before the next starts:
+    with a ``timeout`` (the paper's ``τ_time``), the branch states it spills
+    are resumed first, each with a fresh deadline.  Returns the branch calls
+    of every sub-task, its spilled states included, and records their sum
+    as the seed's entry in ``stats``' heavy-seed table.
+    """
+    pending: deque = deque()
+    searcher = BranchSearcher(
+        context,
+        k,
+        q,
+        config,
+        stats,
+        on_result,
+        timeout=timeout,
+        task_sink=pending.append if timeout is not None else None,
+    )
+    costs: List[int] = []
+    for task in tasks:
+        before = stats.branch_calls
+        searcher.run_subtask(task)
+        while pending:
+            searcher.run_state(pending.popleft())
+        costs.append(stats.branch_calls - before)
+    stats.record_seed_calls(context.seed_vertex, sum(costs))
+    return costs
 
 
 @dataclass
@@ -141,22 +190,34 @@ class KPlexEnumerator:
         original = [self._core_map[v] for v in core_vertices]
         return KPlex.from_vertices(self.graph, original, self.k)
 
-    def _mine_context(self, context: SeedContext) -> List[KPlex]:
-        """Run Algorithm 3 over one seed context and collect its results."""
-        found: List[KPlex] = []
-        searcher = BranchSearcher(
-            context,
+    def _swept_contexts(self, cache: Optional[object]) -> Iterator[SeedContext]:
+        """Build the kept seed contexts (Algorithm 2), filling ``cache``."""
+        filling: Optional[List[SeedContext]] = [] if cache is not None else None
+        for _seed, context in iter_seed_contexts(
+            self._core_graph,
             self.k,
             self.q,
             self.config,
             self.statistics,
-            on_result=lambda mask, ctx=context, sink=found: sink.append(
-                self._result_from_mask(ctx, mask)
-            ),
-        )
-        for task in iter_subtasks(context, self.k, self.q, self.config, self.statistics):
-            searcher.run_subtask(task)
-        return found
+            prepared=self._prepared_core,
+        ):
+            if context is None:
+                continue
+            if filling is not None:
+                filling.append(context)
+            yield context
+        # Reached only when the sweep ran to completion — a consumer
+        # abandoning the generator early (timeout, result budget) must not
+        # publish a partial entry.
+        if filling is not None:
+            cache.put(
+                self.graph,
+                self.k,
+                self.q,
+                self.config,
+                filling,
+                epoch=self._seed_cache_epoch,
+            )
 
     def iter_results(self) -> Iterator[KPlex]:
         """Lazily yield maximal k-plexes (order follows the seed ordering)."""
@@ -169,7 +230,7 @@ class KPlexEnumerator:
         try:
             if self._core_graph.num_vertices >= self.q:
                 cache = self._seed_context_cache
-                cached = (
+                contexts = (
                     cache.get(
                         self.graph,
                         self.k,
@@ -180,43 +241,30 @@ class KPlexEnumerator:
                     if cache is not None
                     else None
                 )
-                if cached is not None:
+                if contexts is not None:
                     # Replay: the seed subgraphs were built by a previous run
                     # with the same (graph, epoch, k, q, config); contexts
                     # are read-only during the search, so sharing is safe.
                     if search_span is not None:
                         search_span.set(seed_context_replay=True)
-                    for context in cached:
-                        yield from self._mine_context(context)
                 else:
-                    filling: Optional[List[SeedContext]] = (
-                        [] if cache is not None else None
-                    )
-                    for _seed, context in iter_seed_contexts(
-                        self._core_graph,
+                    contexts = self._swept_contexts(cache)
+                for context in contexts:
+                    found: List[KPlex] = []
+                    mine_seed(
+                        context,
+                        iter_subtasks(
+                            context, self.k, self.q, self.config, self.statistics
+                        ),
                         self.k,
                         self.q,
                         self.config,
                         self.statistics,
-                        prepared=self._prepared_core,
-                    ):
-                        if context is None:
-                            continue
-                        if filling is not None:
-                            filling.append(context)
-                        yield from self._mine_context(context)
-                    # Reached only when the sweep ran to completion — a
-                    # consumer abandoning the generator early (timeout,
-                    # result budget) must not publish a partial entry.
-                    if filling is not None:
-                        cache.put(
-                            self.graph,
-                            self.k,
-                            self.q,
-                            self.config,
-                            filling,
-                            epoch=self._seed_cache_epoch,
-                        )
+                        on_result=lambda mask, ctx=context, sink=found: sink.append(
+                            self._result_from_mask(ctx, mask)
+                        ),
+                    )
+                    yield from found
         finally:
             duration = time.perf_counter() - started
             self.statistics.search_seconds += duration

@@ -24,8 +24,8 @@ from typing import Iterable, List, Optional, Sequence
 
 from ..graph import Graph
 from ..graph.dense import DenseSubgraph
-from .branch import BranchSearcher
 from .config import EnumerationConfig
+from .enumerator import mine_seed
 from .kplex import KPlex, is_kplex, validate_parameters, validate_query_vertices
 from .pruning import corollary_52_keep
 from .seeds import SeedContext, SubTask
@@ -90,23 +90,20 @@ def enumerate_kplexes_containing(
         degrees=degrees,
         pair_ok=None,
     )
-    stats = SearchStatistics()
     results: List[KPlex] = []
-    searcher = BranchSearcher(
+    mine_seed(
         context,
+        [SubTask(p_mask=query_mask, c_mask=candidate_mask, x_mask=0, x_external_mask=0)],
         k,
         q,
         # The pair matrix is built relative to a seed-subgraph structure that
         # does not apply to an anchored query, so R2 is disabled here; every
         # other technique (bounds, pivoting) applies unchanged.
         config.with_changes(use_pair_pruning=False),
-        stats,
+        SearchStatistics(),
         on_result=lambda mask: results.append(
             KPlex.from_vertices(graph, subgraph.parents_of_mask(mask), k)
         ),
-    )
-    searcher.run_subtask(
-        SubTask(p_mask=query_mask, c_mask=candidate_mask, x_mask=0, x_external_mask=0)
     )
     results.sort(key=lambda plex: (plex.size, plex.vertices))
     return results

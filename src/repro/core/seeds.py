@@ -219,7 +219,7 @@ def build_seed_context(
         )
 
     if stats is not None:
-        stats.record_seed(seed_vertex, subgraph.size)
+        stats.record_seed(subgraph.size)
     return SeedContext(
         seed_vertex=seed_vertex,
         subgraph=subgraph,
@@ -308,25 +308,19 @@ def iter_seed_contexts(
     q: int,
     config: EnumerationConfig,
     stats: Optional[SearchStatistics] = None,
-    seed_vertices: Optional[Sequence[int]] = None,
     prepared: Optional[PreparedGraph] = None,
 ) -> Iterator[Tuple[int, Optional[SeedContext]]]:
     """Iterate over ``(seed_vertex, SeedContext or None)`` in degeneracy order.
 
     The caller is expected to have already shrunk ``graph`` to its
     ``(q - k)``-core (Theorem 3.5); the seed order is the degeneracy ordering
-    of that graph.  ``seed_vertices`` restricts the iteration to a subset of
-    seeds (used by the parallel executor to assign task groups to workers).
-    The degeneracy ordering comes from the graph's prepared index (computed
-    once per graph, shared across requests); pass ``prepared`` to reuse an
-    index the caller already holds.
+    of that graph.  The degeneracy ordering comes from the graph's prepared
+    index (computed once per graph, shared across requests); pass
+    ``prepared`` to reuse an index the caller already holds.
     """
     if prepared is None:
         prepared = prepare(graph)
     position = prepared.position
-    seeds = (
-        prepared.decomposition.order if seed_vertices is None else list(seed_vertices)
-    )
-    for seed_vertex in seeds:
+    for seed_vertex in prepared.decomposition.order:
         context = build_seed_context(graph, position, seed_vertex, k, q, config, stats)
         yield seed_vertex, context

@@ -4,7 +4,7 @@ The counters mirror the quantities the paper uses to explain its speedups:
 how many seed subgraphs and sub-tasks were generated, how many branch nodes
 were explored, and how often each pruning technique fired.  They are also the
 cost model consumed by the simulated parallel scheduler
-(:mod:`repro.parallel.simulator`).
+(:mod:`repro.parallel.scheduler`).
 """
 
 from __future__ import annotations
@@ -57,26 +57,22 @@ class SearchStatistics:
     pool_recoveries: int = 0
     task_retries: int = 0
     serial_fallbacks: int = 0
-    # Bounded to the PER_SEED_TOP_N heaviest seeds (see _prune_per_seed);
-    # per_seed_dropped counts entries discarded by that cap.
+    # Branch calls per mined seed, filled once per seed by
+    # repro.core.enumerator.mine_seed.  Bounded to the PER_SEED_TOP_N
+    # heaviest seeds (see _prune_per_seed); per_seed_dropped counts entries
+    # discarded by that cap.
     per_seed_branch_calls: Dict[int, int] = field(default_factory=dict)
     per_seed_dropped: int = 0
 
-    def record_seed(self, seed_vertex: int, subgraph_size: int) -> None:
+    def record_seed(self, subgraph_size: int) -> None:
         """Record that a seed subgraph with ``subgraph_size`` vertices was built."""
         self.seeds += 1
         self.seed_subgraph_vertices += subgraph_size
-        self.per_seed_branch_calls.setdefault(seed_vertex, 0)
-        self._prune_per_seed()
 
-    def record_branch(self, seed_vertex: int) -> None:
-        """Record one invocation of the branch-and-bound body for ``seed_vertex``."""
-        self.branch_calls += 1
-        if seed_vertex in self.per_seed_branch_calls:
-            self.per_seed_branch_calls[seed_vertex] += 1
-        else:
-            self.per_seed_branch_calls[seed_vertex] = 1
-            self._prune_per_seed()
+    def record_seed_calls(self, seed_vertex: int, branch_calls: int) -> None:
+        """Record the branch calls a seed's mined task group took in total."""
+        self.per_seed_branch_calls[seed_vertex] = branch_calls
+        self._prune_per_seed()
 
     def _prune_per_seed(self) -> None:
         if len(self.per_seed_branch_calls) < _PER_SEED_PRUNE_AT:

@@ -25,15 +25,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..baselines.fp import FPLike, fp_config
+from ..baselines.fp import FPLike
 from ..baselines.listplex import listplex_config
-from ..core.branch import BranchSearcher
 from ..core.config import EnumerationConfig
-from ..core.seeds import iter_seed_contexts, iter_subtasks
+from ..core.seeds import iter_seed_contexts
 from ..core.stats import SearchStatistics
 from ..graph import Graph
-from ..graph.core_decomposition import shrink_to_core
-from ..parallel.scheduler import StageScheduler
+from ..graph.prepared import prepare
+from ..parallel.scheduler import StageScheduler, collect_task_costs
 from .runner import ALGORITHM_FP, ALGORITHM_LISTPLEX, ALGORITHM_OURS
 
 
@@ -84,35 +83,24 @@ def _measure_decomposed(
 ) -> ParallelWorkloadMeasurement:
     """Measure per-sub-task costs for algorithms using the seed/S decomposition."""
     started = time.perf_counter()
-    core_graph, _ = shrink_to_core(graph, q - k)
     stats = SearchStatistics()
-    task_groups: List[List[float]] = []
+    task_groups = collect_task_costs(graph, k, q, config, stats)
+    sequential_seconds = time.perf_counter() - started
+    # Time the seed-subgraph construction on its own in a second sweep over
+    # the same prepared core, so it can be scheduled apart from the search.
+    prepared_core, _ = prepare(graph).prepared_core(q - k)
     construction_seconds = 0.0
-    outputs = 0
-    if core_graph.num_vertices >= q:
+    if prepared_core.graph.num_vertices >= q:
         construction_start = time.perf_counter()
-        contexts = [
-            context
-            for _seed, context in iter_seed_contexts(core_graph, k, q, config, stats)
-            if context is not None
-        ]
+        for _seed_context in iter_seed_contexts(
+            prepared_core.graph, k, q, config, prepared=prepared_core
+        ):
+            pass
         construction_seconds = time.perf_counter() - construction_start
-        for context in contexts:
-            group: List[float] = []
-            searcher = BranchSearcher(
-                context, k, q, config, stats, on_result=lambda mask: None
-            )
-            for task in iter_subtasks(context, k, q, config, stats):
-                before = stats.branch_calls
-                searcher.run_subtask(task)
-                group.append(float(stats.branch_calls - before))
-            if group:
-                task_groups.append(group)
-        outputs = stats.outputs
     return ParallelWorkloadMeasurement(
         algorithm=algorithm,
-        num_kplexes=outputs,
-        sequential_seconds=time.perf_counter() - started,
+        num_kplexes=stats.outputs,
+        sequential_seconds=sequential_seconds,
         construction_seconds=construction_seconds,
         task_groups=task_groups,
         construction_parallelises=True,
@@ -122,11 +110,12 @@ def _measure_decomposed(
 def _measure_fp(graph: Graph, k: int, q: int) -> ParallelWorkloadMeasurement:
     """Measure per-seed costs for the FP baseline (one task per seed)."""
     started = time.perf_counter()
-    runner = FPLike(graph, k, q)
-    result = runner.run()
+    task_groups: List[List[float]] = []
+    num_kplexes = 0
+    for calls, found in FPLike(graph, k, q).iter_seed_groups():
+        task_groups.append([float(calls)])
+        num_kplexes += len(found)
     elapsed = time.perf_counter() - started
-    per_seed = runner.statistics.per_seed_branch_calls
-    task_groups = [[float(calls)] for calls in per_seed.values() if calls > 0]
     # FP's released parallel implementation constructs all seed subgraphs
     # serially before mining; model that serial phase as a fixed 20% share of
     # the sequential run, the fraction the paper attributes to subgraph
@@ -134,7 +123,7 @@ def _measure_fp(graph: Graph, k: int, q: int) -> ParallelWorkloadMeasurement:
     construction = 0.2 * elapsed
     return ParallelWorkloadMeasurement(
         algorithm=ALGORITHM_FP,
-        num_kplexes=result.count,
+        num_kplexes=num_kplexes,
         sequential_seconds=elapsed,
         construction_seconds=construction,
         task_groups=task_groups,

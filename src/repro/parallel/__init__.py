@@ -9,8 +9,6 @@ from .scheduler import (
     SimulationReport,
     StageScheduler,
     collect_task_costs,
-    speedup_curve,
-    timeout_curve,
 )
 
 __all__ = [
@@ -20,6 +18,4 @@ __all__ = [
     "StageScheduler",
     "SimulationReport",
     "collect_task_costs",
-    "speedup_curve",
-    "timeout_curve",
 ]

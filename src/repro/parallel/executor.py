@@ -22,15 +22,13 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..core.branch import BranchSearcher, BranchState
 from ..core.config import EnumerationConfig
-from ..core.enumerator import EnumerationResult
+from ..core.enumerator import EnumerationResult, mine_seed
 from ..core.kplex import KPlex, validate_parameters
 from ..core.seeds import build_seed_context, iter_subtasks
 from ..core.stats import SearchStatistics
@@ -128,7 +126,30 @@ def _mine_seed_with_state(
     ignores the key, keeping the wire format backward compatible.
     """
     started_wall = time.time()
-    results, stats = _mine_seed_body(state, seed_vertex)
+    stats = SearchStatistics()
+    results: List[Tuple[int, ...]] = []
+    context = build_seed_context(
+        state.prepared.graph,
+        state.prepared.position,
+        seed_vertex,
+        state.k,
+        state.q,
+        state.config,
+        stats,
+    )
+    if context is not None:
+        mine_seed(
+            context,
+            iter_subtasks(context, state.k, state.q, state.config, stats),
+            state.k,
+            state.q,
+            state.config,
+            stats,
+            on_result=lambda mask: results.append(
+                tuple(sorted(context.subgraph.parents_of_mask(mask)))
+            ),
+            timeout=state.timeout,
+        )
     payload: Dict[str, float] = stats.as_dict()
     payload["_span"] = span_record(  # type: ignore[assignment]
         "mine_seed",
@@ -139,44 +160,6 @@ def _mine_seed_with_state(
         outputs=len(results),
     )
     return results, payload
-
-
-def _mine_seed_body(
-    state: _WorkerState, seed_vertex: int
-) -> Tuple[List[Tuple[int, ...]], SearchStatistics]:
-    graph = state.prepared.graph
-    k = state.k
-    q = state.q
-    config = state.config
-    timeout = state.timeout
-    position: Sequence[int] = state.prepared.position
-
-    stats = SearchStatistics()
-    results: List[Tuple[int, ...]] = []
-    context = build_seed_context(graph, position, seed_vertex, k, q, config, stats)
-    if context is None:
-        return results, stats
-
-    pending: deque = deque()
-    searcher = BranchSearcher(
-        context,
-        k,
-        q,
-        config,
-        stats,
-        on_result=lambda mask: results.append(
-            tuple(sorted(context.subgraph.parents_of_mask(mask)))
-        ),
-        timeout=timeout,
-        task_sink=pending.append if timeout is not None else None,
-    )
-    for task in iter_subtasks(context, k, q, config, stats):
-        searcher.run_subtask(task)
-        # Straggler decomposition: branch states spilled by the timeout are
-        # re-run as fresh tasks with a new deadline each.
-        while pending:
-            searcher.run_state(pending.popleft())
-    return results, stats
 
 
 def _mine_seed_faulted(

@@ -25,16 +25,15 @@ speedups inherit the true skew of the workload.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
-from ..core.branch import BranchSearcher
 from ..core.config import EnumerationConfig
+from ..core.enumerator import mine_seed
 from ..core.seeds import iter_seed_contexts, iter_subtasks
 from ..core.stats import SearchStatistics
 from ..graph import Graph
-from ..graph.core_decomposition import shrink_to_core
+from ..graph.prepared import prepare
 
 
 @dataclass
@@ -147,6 +146,7 @@ def collect_task_costs(
     k: int,
     q: int,
     config: Optional[EnumerationConfig] = None,
+    stats: Optional[SearchStatistics] = None,
 ) -> List[List[float]]:
     """Measure per-sub-task costs (branch calls) with a real sequential run.
 
@@ -154,53 +154,29 @@ def collect_task_costs(
     branch-and-bound invocations of each of its sub-tasks.  These counts are
     the cost model fed to :class:`StageScheduler` by the speedup and timeout
     experiments, so the simulated schedules inherit the genuine skew of the
-    workload (including straggler sub-tasks).
+    workload (including straggler sub-tasks).  The run's counters go to
+    ``stats`` when one is given.
     """
     config = config or EnumerationConfig.ours()
-    core_graph, _ = shrink_to_core(graph, q - k)
+    stats = stats if stats is not None else SearchStatistics()
+    prepared_core, _ = prepare(graph).prepared_core(q - k)
     costs: List[List[float]] = []
-    if core_graph.num_vertices < q:
+    if prepared_core.graph.num_vertices < q:
         return costs
-    stats = SearchStatistics()
-    for _seed, context in iter_seed_contexts(core_graph, k, q, config, stats):
+    for _seed, context in iter_seed_contexts(
+        prepared_core.graph, k, q, config, stats, prepared=prepared_core
+    ):
         if context is None:
             continue
-        group_costs: List[float] = []
-        searcher = BranchSearcher(
-            context, k, q, config, stats, on_result=lambda mask: None
+        group = mine_seed(
+            context,
+            iter_subtasks(context, k, q, config, stats),
+            k,
+            q,
+            config,
+            stats,
+            on_result=lambda mask: None,
         )
-        for task in iter_subtasks(context, k, q, config, stats):
-            before = stats.branch_calls
-            searcher.run_subtask(task)
-            group_costs.append(float(stats.branch_calls - before))
-        if group_costs:
-            costs.append(group_costs)
+        if group:
+            costs.append([float(calls) for calls in group])
     return costs
-
-
-def speedup_curve(
-    task_groups: Sequence[Sequence[float]],
-    worker_counts: Sequence[int],
-    timeout: Optional[float] = None,
-    split_overhead: float = 0.0,
-) -> Dict[int, SimulationReport]:
-    """Run the simulated scheduler for several worker counts (Figure 8 helper)."""
-    reports: Dict[int, SimulationReport] = {}
-    for workers in worker_counts:
-        scheduler = StageScheduler(workers, timeout=timeout, split_overhead=split_overhead)
-        reports[workers] = scheduler.run(task_groups)
-    return reports
-
-
-def timeout_curve(
-    task_groups: Sequence[Sequence[float]],
-    num_workers: int,
-    timeouts: Sequence[Optional[float]],
-    split_overhead: float = 0.0,
-) -> Dict[Optional[float], SimulationReport]:
-    """Run the simulated scheduler for several timeout values (Figure 13 helper)."""
-    reports: Dict[Optional[float], SimulationReport] = {}
-    for timeout in timeouts:
-        scheduler = StageScheduler(num_workers, timeout=timeout, split_overhead=split_overhead)
-        reports[timeout] = scheduler.run(task_groups)
-    return reports

@@ -132,20 +132,6 @@ class ServiceConfig:
             )
 
 
-def _percentile(sorted_samples: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of an already sorted, non-empty sequence.
-
-    Canonical nearest-rank: the smallest sample with at least
-    ``fraction * n`` samples at or below it, i.e. 1-indexed rank
-    ``ceil(fraction * n)``.  The previous ``int(fraction * n)`` rounded the
-    rank *up by one* exactly on the boundary cases (p50 of 1..100 answered
-    51, p95 answered 96).
-    """
-    rank = math.ceil(fraction * len(sorted_samples))
-    index = min(len(sorted_samples) - 1, max(0, rank - 1))
-    return sorted_samples[index]
-
-
 def _prometheus_name(parts: Sequence[str]) -> str:
     name = "_".join(part for part in parts if part)
     return "".join(ch if (ch.isalnum() or ch == "_") else "_" for ch in name)

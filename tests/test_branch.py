@@ -4,6 +4,7 @@ from collections import deque
 
 from repro.core.branch import BranchSearcher, BranchState
 from repro.core.config import EnumerationConfig
+from repro.core.enumerator import mine_seed
 from repro.core.kplex import is_kplex, is_maximal_kplex
 from repro.core.seeds import SubTask, build_seed_context, iter_seed_contexts, iter_subtasks
 from repro.core.stats import SearchStatistics
@@ -18,8 +19,9 @@ def _mine_graph(graph, k, q, config):
     for _seed, context in iter_seed_contexts(graph, k, q, config, stats):
         if context is None:
             continue
-        searcher = BranchSearcher(
+        mine_seed(
             context,
+            iter_subtasks(context, k, q, config, stats),
             k,
             q,
             config,
@@ -28,8 +30,6 @@ def _mine_graph(graph, k, q, config):
                 frozenset(ctx.subgraph.parents_of_mask(mask))
             ),
         )
-        for task in iter_subtasks(context, k, q, config, stats):
-            searcher.run_subtask(task)
     return results, stats
 
 
@@ -54,8 +54,9 @@ def test_no_duplicate_outputs():
     for _seed, context in iter_seed_contexts(graph, k, q, config, stats):
         if context is None:
             continue
-        searcher = BranchSearcher(
+        mine_seed(
             context,
+            iter_subtasks(context, k, q, config, stats),
             k,
             q,
             config,
@@ -64,8 +65,6 @@ def test_no_duplicate_outputs():
                 frozenset(ctx.subgraph.parents_of_mask(mask))
             ),
         )
-        for task in iter_subtasks(context, k, q, config, stats):
-            searcher.run_subtask(task)
     assert len(outputs) == len(set(outputs))
 
 
@@ -162,3 +161,33 @@ def test_statistics_track_pruning_counters():
     assert stats.branch_calls > 0
     assert stats.seeds > 0
     assert stats.subtasks >= stats.seeds
+
+
+def test_mine_seed_costs_include_spilled_states():
+    # A zero timeout spills every child node; the spilled states are resumed
+    # inside mine_seed and counted toward the sub-task that spilled them, so
+    # each sub-task's cost matches the unsplit run's.
+    graph = generators.erdos_renyi(18, 0.55, seed=6)
+    k, q = 3, 5
+    config = EnumerationConfig.ours()
+    for _seed, context in iter_seed_contexts(graph, k, q, config):
+        if context is None:
+            continue
+        runs = []
+        for timeout in (None, 0.0):
+            stats = SearchStatistics()
+            found = []
+            costs = mine_seed(
+                context,
+                iter_subtasks(context, k, q, config),
+                k,
+                q,
+                config,
+                stats,
+                on_result=found.append,
+                timeout=timeout,
+            )
+            assert sum(costs) == stats.branch_calls
+            assert stats.per_seed_branch_calls == {context.seed_vertex: sum(costs)}
+            runs.append((costs, sorted(found)))
+        assert runs[0] == runs[1]

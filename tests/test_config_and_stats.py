@@ -56,13 +56,14 @@ def test_config_by_name():
 
 def test_statistics_record_and_merge():
     first = SearchStatistics()
-    first.record_seed(7, 10)
-    first.record_branch(7)
-    first.record_branch(7)
+    first.record_seed(10)
+    first.branch_calls = 2
+    first.record_seed_calls(7, 2)
     first.outputs = 3
     second = SearchStatistics()
-    second.record_seed(9, 4)
-    second.record_branch(9)
+    second.record_seed(4)
+    second.branch_calls = 1
+    second.record_seed_calls(9, 1)
     second.elapsed_seconds = 1.5
     first.merge(second)
     assert first.seeds == 2
@@ -74,13 +75,14 @@ def test_statistics_record_and_merge():
 
 def test_statistics_as_dict_and_str():
     stats = SearchStatistics()
-    stats.record_branch(1)
+    stats.branch_calls += 1
     payload = stats.as_dict()
     assert payload["branch_calls"] == 1
     assert "branch_calls=1" in str(stats)
 
 
-def test_record_branch_without_seed_registration():
+def test_record_seed_calls_without_seed_registration():
     stats = SearchStatistics()
-    stats.record_branch(42)
-    assert stats.per_seed_branch_calls == {42: 1}
+    stats.record_seed_calls(42, 3)
+    assert stats.per_seed_branch_calls == {42: 3}
+    assert stats.seeds == 0

@@ -119,3 +119,34 @@ def test_statistics_elapsed_time_recorded():
     graph = generators.relaxed_caveman(3, 6, 0.25, seed=16)
     result = KPlexEnumerator(graph, 2, 5).run()
     assert result.statistics.elapsed_seconds > 0
+
+
+def test_ours_solve_reaches_the_traced_mining_names(monkeypatch):
+    """kpbench's traced run times the mining layers by patching
+    ``repro.core.enumerator.iter_subtasks`` and ``BranchSearcher.run_subtask``
+    by name; an ``ours`` solve must go through both, or those layers read 0."""
+    from repro.api import EnumerationRequest, KPlexEngine
+    from repro.core import enumerator as enumerator_module
+    from repro.core.branch import BranchSearcher
+
+    counts = {"subtasks": 0, "run_subtask": 0}
+    original_iter_subtasks = enumerator_module.iter_subtasks
+    original_run_subtask = BranchSearcher.run_subtask
+
+    def counting_iter_subtasks(*args, **kwargs):
+        for task in original_iter_subtasks(*args, **kwargs):
+            counts["subtasks"] += 1
+            yield task
+
+    def counting_run_subtask(self, task):
+        counts["run_subtask"] += 1
+        return original_run_subtask(self, task)
+
+    monkeypatch.setattr(enumerator_module, "iter_subtasks", counting_iter_subtasks)
+    monkeypatch.setattr(BranchSearcher, "run_subtask", counting_run_subtask)
+    graph = generators.relaxed_caveman(3, 7, 0.25, seed=3)
+    response = KPlexEngine().solve(EnumerationRequest(graph=graph, k=2, q=5, solver="ours"))
+    stats = response.statistics
+    assert response.kplexes
+    assert counts["subtasks"] == stats.subtasks - stats.subtasks_pruned_by_seed_bound > 0
+    assert counts["run_subtask"] == counts["subtasks"]

@@ -6,6 +6,7 @@ stays fast; the full-scale reproductions live in ``benchmarks/``.
 
 import pytest
 
+from repro.baselines.fp import FPLike
 from repro.datasets import dataset_names
 from repro.experiments import (
     ALGORITHM_FP,
@@ -38,6 +39,7 @@ from repro.experiments import (
     timeout_values,
     vary_q_workloads,
 )
+from repro.graph import generators
 
 TINY = [Workload(dataset="jazz", k=2, q=8, paper_q=20)]
 TINY_PARALLEL = [Workload(dataset="jazz", k=2, q=7, paper_q=40)]
@@ -195,6 +197,17 @@ def test_measure_parallel_workload_all_algorithms():
         assert measurement.total_cost > 0
         assert measurement.makespan_seconds(4) <= measurement.makespan_seconds(1) * 1.001
     assert len(counts) == 1  # all algorithms agree on the result count
+
+
+def test_fp_parallel_measurement_keeps_every_seed():
+    # More than 256 FP seeds: the heavy-seed table keeps only the heaviest
+    # 64, so the task groups must come from the mined seeds themselves.
+    graph = generators.ring_of_cliques(num_cliques=150, clique_size=5)
+    runner = FPLike(graph, 2, 4)
+    runner.run()
+    measurement = measure_parallel_workload(ALGORITHM_FP, graph, 2, 4)
+    assert len(measurement.task_groups) == runner.statistics.seeds == 301
+    assert measurement.total_cost == runner.statistics.branch_calls == 451
 
 
 def test_measure_parallel_workload_rejects_unknown():

@@ -247,9 +247,8 @@ def test_log_event_emits_json_with_request_id():
 def test_per_seed_branch_calls_capped_to_top_n():
     stats = SearchStatistics()
     for seed in range(1000):
-        stats.record_seed(seed, subgraph_size=4)
-        for _ in range(seed % 97 + 1):
-            stats.record_branch(seed)
+        stats.record_seed(subgraph_size=4)
+        stats.record_seed_calls(seed, seed % 97 + 1)
     assert len(stats.per_seed_branch_calls) <= _PER_SEED_PRUNE_AT
     assert stats.per_seed_dropped > 0
     top = stats.top_seed_branch_calls(5)
@@ -262,8 +261,8 @@ def test_per_seed_branch_calls_capped_to_top_n():
 def test_per_seed_cap_survives_merge():
     left, right = SearchStatistics(), SearchStatistics()
     for seed in range(600):
-        left.record_branch(seed)
-        right.record_branch(seed + 600)
+        left.record_seed_calls(seed, 1)
+        right.record_seed_calls(seed + 600, 1)
     dropped_before = left.per_seed_dropped + right.per_seed_dropped
     left.merge(right)
     assert len(left.per_seed_branch_calls) <= _PER_SEED_PRUNE_AT
@@ -273,7 +272,7 @@ def test_per_seed_cap_survives_merge():
 def test_small_per_seed_dicts_are_untouched():
     stats = SearchStatistics()
     for seed in range(10):
-        stats.record_branch(seed)
+        stats.record_seed_calls(seed, 1)
     assert len(stats.per_seed_branch_calls) == 10
     assert stats.per_seed_dropped == 0
     assert stats.top_seed_branch_calls(limit=PER_SEED_TOP_N)

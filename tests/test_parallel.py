@@ -9,8 +9,6 @@ from repro.parallel import (
     StageScheduler,
     collect_task_costs,
     parallel_enumerate_maximal_kplexes,
-    speedup_curve,
-    timeout_curve,
 )
 
 from _helpers import vertex_sets
@@ -141,8 +139,10 @@ def test_collect_task_costs_empty_when_core_too_small():
 def test_speedup_curve_monotone():
     graph = generators.relaxed_caveman(4, 7, 0.25, seed=54)
     costs = collect_task_costs(graph, 2, 5)
-    reports = speedup_curve(costs, [1, 2, 4, 8], timeout=4.0)
-    speedups = [reports[w].speedup for w in (1, 2, 4, 8)]
+    speedups = [
+        StageScheduler(workers, timeout=4.0).run(costs).speedup
+        for workers in (1, 2, 4, 8)
+    ]
     assert speedups[0] == pytest.approx(1.0)
     assert all(b >= a - 1e-9 for a, b in zip(speedups, speedups[1:]))
 
@@ -150,6 +150,11 @@ def test_speedup_curve_monotone():
 def test_timeout_curve_contains_all_requested_values():
     graph = generators.relaxed_caveman(3, 7, 0.25, seed=55)
     costs = collect_task_costs(graph, 2, 5)
-    reports = timeout_curve(costs, num_workers=4, timeouts=[1.0, 8.0, None])
-    assert set(reports) == {1.0, 8.0, None}
+    reports = {
+        timeout: StageScheduler(4, timeout=timeout).run(costs)
+        for timeout in (1.0, 8.0, None)
+    }
     assert all(report.makespan > 0 for report in reports.values())
+    # A smaller timeout splits at least as many tasks; no timeout splits none.
+    assert reports[1.0].tasks_split >= reports[8.0].tasks_split
+    assert reports[1.0].tasks_split > reports[None].tasks_split == 0

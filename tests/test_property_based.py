@@ -252,6 +252,19 @@ def test_parallel_threads_match_brute_force(case):
 
 
 @SETTINGS
+@given(differential_cases())
+def test_parallel_processes_match_brute_force(case):
+    """Process-mode ``parallel`` with 2 workers, without and with task
+    splitting: seeds and spilled states are mined in the worker processes."""
+    graph, k, q = case
+    expected = brute_force_vertex_sets(graph, k, q)
+    for timeout in (None, 1e-9):
+        parallel = ParallelConfig(num_workers=2, use_processes=True, timeout_seconds=timeout)
+        result = parallel_enumerate_maximal_kplexes(graph, k, q, parallel)
+        assert vertex_sets(result.kplexes) == expected, timeout
+
+
+@SETTINGS
 @given(differential_cases(), st.data())
 def test_query_mode_matches_filtered_brute_force(case, data):
     graph, k, q = case

@@ -719,22 +719,3 @@ def test_lru_overwrite_that_pushes_over_budget_evicts_lru_first():
     assert lru.get("b") is None
     assert lru.get("a") == "A-big"
     assert lru.current_bytes == 80
-
-
-# --------------------------------------------------------------------------- #
-# Nearest-rank percentile boundaries (regression: p50 of 1..100 must be 50)
-# --------------------------------------------------------------------------- #
-def test_percentile_nearest_rank_boundaries():
-    from repro.service.service import _percentile
-
-    window = [float(value) for value in range(1, 101)]
-    assert _percentile(window, 0.50) == 50.0
-    assert _percentile(window, 0.95) == 95.0
-    assert _percentile(window, 0.0) == 1.0
-    assert _percentile(window, 1.0) == 100.0
-    assert _percentile([7.5], 0.50) == 7.5
-    assert _percentile([7.5], 0.95) == 7.5
-    # Ranks between grid points round up to the next sample (nearest-rank).
-    assert _percentile([1.0, 2.0, 3.0], 0.50) == 2.0
-    assert _percentile([1.0, 2.0, 3.0], 0.34) == 2.0
-    assert _percentile([1.0, 2.0, 3.0], 0.33) == 1.0

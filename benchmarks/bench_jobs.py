@@ -33,11 +33,7 @@ K, Q = 2, 4
 
 def _boot():
     service = KPlexService(
-        config=ServiceConfig(
-            max_workers=2,
-            result_cache_entries=0,
-            seed_cache_entries=0,
-        )
+        config=ServiceConfig(max_workers=2, result_cache_entries=0)
     )
     server = start_server(service, port=0)
     client = ServiceClient(server.url)

@@ -83,7 +83,6 @@ from .service import (
     GraphCatalog,
     KPlexService,
     ResultCache,
-    SeedContextCache,
     ServiceConfig,
     ServiceMetrics,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "ServiceMetrics",
     "GraphCatalog",
     "ResultCache",
-    "SeedContextCache",
     "ReproError",
     "GraphError",
     "ParameterError",

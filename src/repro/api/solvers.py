@@ -58,16 +58,7 @@ class _ConfigurableSolver(Solver):
         config = self._effective_config(request)
         if request.query_vertices is not None:
             return self._start_query(request, config)
-        enumerator = KPlexEnumerator(
-            request.graph,
-            request.k,
-            request.q,
-            config,
-            # Serving-layer option: a cross-request SeedContextCache injected
-            # by KPlexService (see repro.service); plain requests leave it
-            # unset and behave exactly as before.
-            seed_context_cache=request.options.get("seed_context_cache"),
-        )
+        enumerator = KPlexEnumerator(request.graph, request.k, request.q, config)
         return SolverRun(
             results=enumerator.iter_results(),
             statistics=lambda: enumerator.statistics,
@@ -208,7 +199,6 @@ class ParallelSolver(Solver):
         for option, target in (
             ("num_workers", "num_workers"),
             ("use_processes", "use_processes"),
-            ("stage_size", "stage_size"),
             ("straggler_timeout", "timeout_seconds"),
         ):
             if option in options:
@@ -216,8 +206,7 @@ class ParallelSolver(Solver):
         if options:
             raise ParameterError(
                 f"unknown parallel solver options {sorted(options)}; expected "
-                f"'parallel', 'num_workers', 'use_processes', 'stage_size', "
-                f"'straggler_timeout'"
+                f"'parallel', 'num_workers', 'use_processes', 'straggler_timeout'"
             )
         config = request.resolved_config()
         if config is not None:

@@ -120,13 +120,6 @@ class KPlexEnumerator:
     config:
         Optional :class:`EnumerationConfig`; defaults to the paper's ``Ours``
         variant with every pruning technique enabled.
-    seed_context_cache:
-        Optional :class:`repro.service.cache.SeedContextCache` (duck-typed:
-        ``get(graph, k, q, config)`` / ``put(graph, k, q, config, contexts)``).
-        When given, a completed seed sweep stores its built contexts and
-        later runs with the same ``(graph, epoch, k, q, config)`` replay
-        them instead of re-running Algorithm 2's subgraph construction —
-        the ROADMAP's cross-request seed-context reuse.
     """
 
     def __init__(
@@ -135,18 +128,12 @@ class KPlexEnumerator:
         k: int,
         q: int,
         config: Optional[EnumerationConfig] = None,
-        seed_context_cache: Optional[object] = None,
     ) -> None:
         validate_parameters(k, q)
         self.graph = graph
         self.k = k
         self.q = q
         self.config = config or EnumerationConfig.ours()
-        self._seed_context_cache = seed_context_cache
-        # Snapshot the epoch at binding time: if the graph is invalidated
-        # while this run is in flight, the completed sweep is published (and
-        # looked up) under the old epoch, never the new one.
-        self._seed_cache_epoch = graph.epoch
         self.statistics = SearchStatistics()
         # The (q-k)-core the search actually runs on, plus the map back to
         # the input graph's vertex ids.  Both the shrinking and the core's
@@ -190,35 +177,6 @@ class KPlexEnumerator:
         original = [self._core_map[v] for v in core_vertices]
         return KPlex.from_vertices(self.graph, original, self.k)
 
-    def _swept_contexts(self, cache: Optional[object]) -> Iterator[SeedContext]:
-        """Build the kept seed contexts (Algorithm 2), filling ``cache``."""
-        filling: Optional[List[SeedContext]] = [] if cache is not None else None
-        for _seed, context in iter_seed_contexts(
-            self._core_graph,
-            self.k,
-            self.q,
-            self.config,
-            self.statistics,
-            prepared=self._prepared_core,
-        ):
-            if context is None:
-                continue
-            if filling is not None:
-                filling.append(context)
-            yield context
-        # Reached only when the sweep ran to completion — a consumer
-        # abandoning the generator early (timeout, result budget) must not
-        # publish a partial entry.
-        if filling is not None:
-            cache.put(
-                self.graph,
-                self.k,
-                self.q,
-                self.config,
-                filling,
-                epoch=self._seed_cache_epoch,
-            )
-
     def iter_results(self) -> Iterator[KPlex]:
         """Lazily yield maximal k-plexes (order follows the seed ordering)."""
         # The span parent is whatever is active when the first result is
@@ -229,27 +187,16 @@ class KPlexEnumerator:
         # result budgets) still record the time they consumed.
         try:
             if self._core_graph.num_vertices >= self.q:
-                cache = self._seed_context_cache
-                contexts = (
-                    cache.get(
-                        self.graph,
-                        self.k,
-                        self.q,
-                        self.config,
-                        epoch=self._seed_cache_epoch,
-                    )
-                    if cache is not None
-                    else None
-                )
-                if contexts is not None:
-                    # Replay: the seed subgraphs were built by a previous run
-                    # with the same (graph, epoch, k, q, config); contexts
-                    # are read-only during the search, so sharing is safe.
-                    if search_span is not None:
-                        search_span.set(seed_context_replay=True)
-                else:
-                    contexts = self._swept_contexts(cache)
-                for context in contexts:
+                for _seed, context in iter_seed_contexts(
+                    self._core_graph,
+                    self.k,
+                    self.q,
+                    self.config,
+                    self.statistics,
+                    prepared=self._prepared_core,
+                ):
+                    if context is None:
+                        continue
                     found: List[KPlex] = []
                     mine_seed(
                         context,

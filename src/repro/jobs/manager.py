@@ -9,8 +9,8 @@ connections:
   load-shedding signal, on a budget deliberately *separate* from the sync
   ``/v1/solve`` pool so background jobs cannot starve interactive traffic;
 * **execution** — each job streams through the engine's lazy
-  ``stream_run`` with the service's default timeout and seed-context
-  cache, feeding the job's progress counters and its bounded
+  ``stream_run`` with the service's default timeout, feeding the job's
+  progress counters and its bounded
   :class:`~repro.jobs.job.ResultLog` (slow consumers pause the producer);
 * **cancellation** — ``DELETE``-driven :meth:`cancel` propagates through
   the engine's cooperative token, so solver work actually stops;

@@ -21,7 +21,7 @@ from ..registry import Check, register_check
 __all__ = ["EpochKeyContract", "ResourceCleanup"]
 
 #: Names whose presence marks a module as cache-key territory.
-_CACHE_MARKERS = ("ByteBudgetLRU", "ResultCache", "SeedContextCache", "result_cache_key")
+_CACHE_MARKERS = ("ByteBudgetLRU", "ResultCache", "result_cache_key")
 
 
 def _is_key_builder(name: str) -> bool:

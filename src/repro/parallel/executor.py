@@ -53,9 +53,6 @@ class ParallelConfig:
         The straggler timeout ``τ_time``; ``None`` disables task splitting.
     use_processes:
         ``True`` for a process pool (real parallelism), ``False`` for threads.
-    stage_size:
-        Number of seeds dispatched per stage; defaults to ``num_workers``,
-        matching the paper's stage construction.
     enumeration:
         The sequential algorithm configuration each worker runs.
     retry:
@@ -70,7 +67,6 @@ class ParallelConfig:
     num_workers: int = field(default_factory=lambda: os.cpu_count() or 1)
     timeout_seconds: Optional[float] = DEFAULT_TIMEOUT_SECONDS
     use_processes: bool = True
-    stage_size: Optional[int] = None
     enumeration: EnumerationConfig = field(default_factory=EnumerationConfig.ours)
     retry: Optional[RetryPolicy] = None
     max_pool_failures: int = 4
@@ -107,23 +103,26 @@ def _initialise_worker(state: _WorkerState) -> None:
     _PROCESS_STATE[0] = state
 
 
-def _mine_seed(seed_vertex: int) -> Tuple[List[Tuple[int, ...]], Dict[str, float]]:
+#: What a worker returns for one seed: the results as sorted core-vertex
+#: tuples, the seed's statistics, and a span record of its wall-clock run.
+SeedOutcome = Tuple[List[Tuple[int, ...]], SearchStatistics, Dict[str, object]]
+
+
+def _mine_seed(seed_vertex: int) -> SeedOutcome:
     """Process-pool entry point: mine one seed with the per-process state."""
     state = _PROCESS_STATE[0]
     assert state is not None, "worker process was not initialised"
     return _mine_seed_with_state(state, seed_vertex)
 
 
-def _mine_seed_with_state(
-    state: _WorkerState, seed_vertex: int
-) -> Tuple[List[Tuple[int, ...]], Dict[str, float]]:
+def _mine_seed_with_state(state: _WorkerState, seed_vertex: int) -> SeedOutcome:
     """Mine the whole task group of one seed vertex inside a worker.
 
-    The returned stats dict additionally carries a ``"_span"`` record —
-    wall-clock start/end plus the worker pid — that the driver stitches
-    into the request trace.  Workers cannot share the driver's contextvars,
-    so the span rides the existing result channel; ``_stats_from_dict``
-    ignores the key, keeping the wire format backward compatible.
+    The :class:`SearchStatistics` object itself travels back, heavy-seed
+    table included, next to a span record (wall-clock start/end plus the
+    worker pid) that the driver stitches into the request trace: workers
+    cannot share the driver's contextvars, so the span rides the result
+    channel.
     """
     started_wall = time.time()
     stats = SearchStatistics()
@@ -150,8 +149,7 @@ def _mine_seed_with_state(
             ),
             timeout=state.timeout,
         )
-    payload: Dict[str, float] = stats.as_dict()
-    payload["_span"] = span_record(  # type: ignore[assignment]
+    record = span_record(
         "mine_seed",
         started_wall,
         time.time(),
@@ -159,12 +157,12 @@ def _mine_seed_with_state(
         branch_calls=stats.branch_calls,
         outputs=len(results),
     )
-    return results, payload
+    return results, stats, record
 
 
 def _mine_seed_faulted(
     seed_vertex: int, kind: str, param: Optional[float]
-) -> Tuple[List[Tuple[int, ...]], Dict[str, float]]:
+) -> SeedOutcome:
     """Fault-wrapped worker entry point (chaos testing only).
 
     The *driver's* :class:`FaultInjector` decides — and consumes the budget
@@ -216,14 +214,6 @@ def _evaluate_seed_fault(injector, seed_vertex: int) -> Optional[Tuple[str, Opti
     return None
 
 
-def _stats_from_dict(values: Dict[str, float]) -> SearchStatistics:
-    stats = SearchStatistics()
-    for key, value in values.items():
-        if hasattr(stats, key):
-            setattr(stats, key, type(getattr(stats, key))(value))
-    return stats
-
-
 # --------------------------------------------------------------------------- #
 # Driver
 # --------------------------------------------------------------------------- #
@@ -261,7 +251,7 @@ def _enumerate_parallel(
             prepared_core.position
             seed_span.set(seeds=len(seeds))
         merged_stats.preprocess_seconds = time.perf_counter() - started
-        stage = parallel.stage_size or parallel.num_workers
+        stage = parallel.num_workers
         state = _WorkerState(
             prepared_core.for_worker_transfer(),
             k,
@@ -317,14 +307,13 @@ def _enumerate_parallel(
             merged_stats.pool_recoveries = report.pool_recoveries
             merged_stats.task_retries = report.task_retries
             merged_stats.serial_fallbacks = 1 if report.degraded_serial else 0
-            for seed_results, stats_dict in outcomes:
-                # Worker span records ride the stats dict across the
-                # process boundary; re-parent them under the search
-                # span so worker time lands in the right subtree.
-                record = stats_dict.pop("_span", None)
-                if record is not None and search_span.recorded:
+            for seed_results, seed_stats, record in outcomes:
+                # Worker span records cross the process boundary with the
+                # results; re-parent them under the search span so worker
+                # time lands in the right subtree.
+                if search_span.recorded:
                     attach_span_record(record, parent=search_span)
-                merged_stats.merge(_stats_from_dict(stats_dict))
+                merged_stats.merge(seed_stats)
                 for core_vertices in seed_results:
                     original = [core_map[v] for v in core_vertices]
                     kplexes.append(KPlex.from_vertices(graph, original, k))
@@ -359,11 +348,12 @@ def _enumerate_parallel(
                         with span(
                             "seed_batch", offset=start, size=len(block)
                         ) as batch_span:
-                            for seed_results, stats_dict in pool.map(mine, block):
-                                record = stats_dict.pop("_span", None)
-                                if record is not None and batch_span.recorded:
+                            for seed_results, seed_stats, record in pool.map(
+                                mine, block
+                            ):
+                                if batch_span.recorded:
                                     attach_span_record(record, parent=batch_span)
-                                merged_stats.merge(_stats_from_dict(stats_dict))
+                                merged_stats.merge(seed_stats)
                                 for core_vertices in seed_results:
                                     original = [core_map[v] for v in core_vertices]
                                     kplexes.append(

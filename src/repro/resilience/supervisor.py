@@ -7,8 +7,8 @@ callers see :class:`~concurrent.futures.process.BrokenProcessPool` and
 lose the entire run.  The supervisor instead:
 
 1. keeps every result that completed before the crash,
-2. rebuilds the pool (the shared-memory segment is still live, so a
-   process-pool initializer re-attaches the same descriptor),
+2. rebuilds the pool through ``pool_factory`` (a process-pool initializer
+   hands every new worker the same read-only state the old ones had),
 3. retries only the lost tasks under a :class:`RetryPolicy`,
 4. re-runs crash suspects in *singleton* batches, so a deterministically
    crashing task is identified exactly and fails the run with a

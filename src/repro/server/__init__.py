@@ -12,8 +12,8 @@ now survives it, and clients no longer need to share the interpreter.
   streaming), with structured error bodies and graceful
   drain-then-shutdown on SIGTERM;
 * :mod:`repro.server.persistence` — versioned on-disk snapshots of the
-  hot state (catalog registrations, the hottest replayable request specs,
-  seed-context specs) validated against ``Graph.epoch`` on load;
+  hot state (catalog registrations and the hottest replayable request
+  specs) validated against ``Graph.epoch`` on load;
 * :func:`warm_start` — re-executes the persisted specs through the normal
   service path on boot, so a restarted server answers its recurring
   workload from a warm cache;

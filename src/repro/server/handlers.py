@@ -558,7 +558,6 @@ class KPlexRequestHandler(BaseHTTPRequestHandler):
                 "path": str(path),
                 "graphs": len(snapshot["graphs"]),
                 "hot_requests": len(snapshot["hot_requests"]),
-                "seed_specs": len(snapshot["seed_specs"]),
             },
         )
 

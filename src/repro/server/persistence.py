@@ -5,10 +5,9 @@ with the process; this module makes their *hot set* survive a restart
 without ever persisting a result payload:
 
 * :func:`snapshot_service` captures the catalog registrations (with inline
-  edges for graphs that cannot be re-materialised from a file or dataset),
-  the :class:`~repro.service.cache.ResultCache`'s hottest **request specs**
-  and the :class:`~repro.service.cache.SeedContextCache`'s entry specs into
-  one versioned JSON document;
+  edges for graphs that cannot be re-materialised from a file or dataset)
+  and the :class:`~repro.service.cache.ResultCache`'s hottest **request
+  specs** into one versioned JSON document;
 * :func:`save_snapshot` writes it atomically (tmp file + ``os.replace``);
 * :func:`warm_start` re-registers the graphs and re-executes the persisted
   specs through the normal service path, so a restarted server answers the
@@ -42,7 +41,6 @@ from ..graph import Graph
 from ..graph.prepared import prepare
 from ..resilience import fault_injector, resilience_stats
 from ..service import KPlexService
-from ..service.cache import _INTERNAL_OPTIONS
 from ..service.catalog import DATASET_PREFIX
 
 SNAPSHOT_FORMAT = "kplex-service-snapshot"
@@ -131,15 +129,10 @@ def _request_spec(request, name: str, epoch: int) -> Optional[Dict[str, object]]
         spec["query"] = labels
     if request.max_results is not None:
         spec["max_results"] = request.max_results
-    options = {
-        key: value
-        for key, value in request.options.items()
-        if key not in _INTERNAL_OPTIONS
-    }
-    if options:
-        if not _json_safe(options):
+    if request.options:
+        if not _json_safe(request.options):
             return None
-        spec["options"] = options
+        spec["options"] = dict(request.options)
     return spec
 
 
@@ -165,8 +158,7 @@ def snapshot_service(
     every live cache entry is scored and only the ``max_requests`` best
     survive, with the cut recorded under the document's
     ``"spec_compaction"`` key so operators can see what a bounded snapshot
-    dropped.  Seed-context specs are always included — they are a few dozen
-    bytes each.
+    dropped.
     """
     catalog = service.catalog
     graphs: List[Dict[str, object]] = []
@@ -228,29 +220,12 @@ def snapshot_service(
         ],
     }
 
-    seed_specs: List[Dict[str, object]] = []
-    if service.seed_context_cache is not None:
-        for graph, epoch, k, q, config in service.seed_context_cache.export_specs():
-            name = restorable.get(id(graph))
-            if name is None:
-                continue
-            seed_specs.append(
-                {
-                    "graph": name,
-                    "epoch": epoch,
-                    "k": k,
-                    "q": q,
-                    "config": _config_dict(config),
-                }
-            )
-
     return {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
         "created_at": time.time(),
         "graphs": graphs,
         "hot_requests": hot_requests,
-        "seed_specs": seed_specs,
         # Not validated by load_snapshot (older readers ignore it), so the
         # format version stays 1.
         "spec_compaction": compaction,
@@ -363,7 +338,9 @@ def load_snapshot(path: Union[str, os.PathLike]) -> Dict[str, object]:
             f"snapshot {path!r} has version {version!r}; this build reads "
             f"version {SNAPSHOT_VERSION}"
         )
-    for key in ("graphs", "hot_requests", "seed_specs"):
+    # Older snapshots also carry a "seed_specs" list (specs of a removed
+    # seed-subgraph cache); it is ignored and their hot requests replay.
+    for key in ("graphs", "hot_requests"):
         if not isinstance(snapshot.get(key), list):
             raise SnapshotError(f"snapshot {path!r} is missing the {key!r} list")
     return snapshot
@@ -442,18 +419,6 @@ def _replay_request(service: KPlexService, spec: Dict[str, object]):
     return service.solve(request)
 
 
-def _replay_seed_spec(service: KPlexService, spec: Dict[str, object]):
-    # Seed contexts are config-dependent only; replaying the plain
-    # enumeration with that config rebuilds them (and is a cheap result-cache
-    # hit when a hot request already covered the cell).
-    return service.solve(
-        spec["graph"],
-        spec["k"],
-        spec["q"],
-        config=EnumerationConfig(**spec["config"]),
-    )
-
-
 def warm_start(
     service: KPlexService,
     snapshot: Union[str, os.PathLike, Dict[str, object]],
@@ -525,19 +490,15 @@ def warm_start(
             except ReproError:  # pragma: no cover - defensive
                 pass
 
-    for kind, specs in (("request", snapshot["hot_requests"]), ("seed", snapshot["seed_specs"])):
-        for spec in specs:
-            name = spec.get("graph")
-            if name not in fresh or spec.get("epoch") != fresh[name]:
-                report.skipped_stale += 1
-                continue
-            try:
-                if kind == "request":
-                    _replay_request(service, spec)
-                else:
-                    _replay_seed_spec(service, spec)
-                report.replayed += 1
-            except ReproError as exc:
-                report.failed += 1
-                report.errors.append(f"{kind} spec {name!r} k={spec.get('k')}: {exc}")
+    for spec in snapshot["hot_requests"]:
+        name = spec.get("graph")
+        if name not in fresh or spec.get("epoch") != fresh[name]:
+            report.skipped_stale += 1
+            continue
+        try:
+            _replay_request(service, spec)
+            report.replayed += 1
+        except ReproError as exc:
+            report.failed += 1
+            report.errors.append(f"request spec {name!r} k={spec.get('k')}: {exc}")
     return report

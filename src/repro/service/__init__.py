@@ -5,9 +5,9 @@ This subsystem layers the ROADMAP's production-service shape on top of
 
 * :class:`GraphCatalog` — graphs as named resources with pre-warming,
   memory accounting and an invalidate/unregister lifecycle;
-* :class:`ResultCache` / :class:`SeedContextCache` — byte-budgeted LRU
-  tiers reusing completed responses and per-seed subgraphs across requests
-  (keys embed the graph epoch, so invalidation can never serve stale data);
+* :class:`ResultCache` — a byte-budgeted LRU reusing completed responses
+  across requests (keys embed the graph epoch, so invalidation can never
+  serve stale data);
 * :class:`KPlexService` — the concurrent front-end: bounded worker pool,
   admission control, request coalescing and a :class:`ServiceMetrics`
   snapshot.
@@ -29,7 +29,7 @@ from ..errors import (
     ServiceError,
     ServiceOverloadError,
 )
-from .cache import ByteBudgetLRU, ResultCache, SeedContextCache, result_cache_key
+from .cache import ByteBudgetLRU, ResultCache, result_cache_key
 from .catalog import CatalogEntry, GraphCatalog
 from .service import (
     OUTCOME_COALESCED,
@@ -44,7 +44,6 @@ from .sizing import (
     estimate_graph_bytes,
     estimate_prepared_bytes,
     estimate_response_bytes,
-    estimate_seed_context_bytes,
 )
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "GraphCatalog",
     "CatalogEntry",
     "ResultCache",
-    "SeedContextCache",
     "ByteBudgetLRU",
     "result_cache_key",
     "ServiceError",
@@ -68,5 +66,4 @@ __all__ = [
     "estimate_graph_bytes",
     "estimate_prepared_bytes",
     "estimate_response_bytes",
-    "estimate_seed_context_bytes",
 ]

@@ -1,27 +1,22 @@
-"""Cross-request caches with memory budgets (the ROADMAP's reuse items).
+"""The cross-request result cache with a memory budget.
 
-Two cache tiers sit behind :class:`~repro.service.service.KPlexService`:
+:class:`ResultCache` sits behind :class:`~repro.service.service.KPlexService`
+and holds completed :class:`EnumerationResponse` objects, keyed by ``(graph
+identity, graph epoch, solver, k, q, config signature, query, result
+budget)``.  A hit skips the whole search.  A miss runs Algorithm 2 from
+scratch: seed subgraphs are built per request and dropped once mined.
 
-* :class:`ResultCache` — completed :class:`EnumerationResponse` objects,
-  keyed by ``(graph identity, graph epoch, solver, k, q, config signature,
-  query, result budget)``.  A hit skips the whole search.
-* :class:`SeedContextCache` — the per-seed subgraph contexts built by
-  Algorithm 2, keyed by ``(graph identity, graph epoch, k, q, config)``.
-  A hit skips the seed-subgraph construction (two-hop expansion, Corollary
-  5.2 shrinking, pair matrix) even when the full result cannot be reused —
-  e.g. after a result-cache eviction or for a different ``max_results``.
-
-Both tiers share one LRU core governed by a configurable **memory budget**:
-an entry-count cap and/or a byte cap fed by the estimators in
-:mod:`repro.service.sizing`.  Eviction statistics are part of each tier's
-``stats()`` so the service metrics can report them.
+Its LRU core, :class:`ByteBudgetLRU`, is governed by a configurable **memory
+budget**: an entry-count cap and/or a byte cap fed by the estimators in
+:mod:`repro.service.sizing`.  Eviction statistics are part of ``stats()`` so
+the service metrics can report them.
 
 Keys embed the graph's *epoch* (see :meth:`repro.graph.graph.Graph.epoch`):
 any invalidation bumps the epoch, so entries computed from a previous state
 of a graph can never be served again — they simply age out of the LRU.
-Entries hold strong references to their graph (via the stored response or
-explicitly), which pins the ``id(graph)`` component of the key for exactly
-as long as the entry lives.
+Entries hold a strong reference to their graph (via the stored response),
+which pins the ``id(graph)`` component of the key for exactly as long as the
+entry lives.
 """
 
 from __future__ import annotations
@@ -39,13 +34,8 @@ from ..api.response import (
     EnumerationResponse,
 )
 from ..core.config import EnumerationConfig
-from ..core.seeds import SeedContext
 from ..graph import Graph
-from .sizing import estimate_response_bytes, estimate_seed_context_bytes
-
-#: Request options consumed by the serving layer itself; they must not leak
-#: into cache keys (they are per-process objects, not request parameters).
-_INTERNAL_OPTIONS = frozenset({"seed_context_cache"})
+from .sizing import estimate_response_bytes
 
 
 class ByteBudgetLRU:
@@ -152,21 +142,14 @@ class ByteBudgetLRU:
             self._entries.clear()
             self._current_bytes = 0
 
-    def items_snapshot(self) -> List[Tuple[Hashable, object]]:
-        """``(key, value)`` pairs, hottest (most recently used) first.
-
-        A point-in-time copy for exporters — iterating it cannot race with
-        concurrent gets/puts, and it does not refresh recency.
-        """
-        with self._lock:
-            return [(key, entry[0]) for key, entry in reversed(self._entries.items())]
-
     def export_entries(self) -> List[Tuple[Hashable, object, int, float]]:
         """``(key, value, hits, last_access)`` tuples, hottest (MRU) first.
 
-        Like :meth:`items_snapshot` but carrying the per-entry usage stats
-        that the snapshot compaction policy scores on.  ``last_access`` is a
-        ``time.monotonic()`` stamp, comparable only within this process.
+        A point-in-time copy for exporters — iterating it cannot race with
+        concurrent gets/puts, and it does not refresh recency.  The per-entry
+        usage stats are what the snapshot compaction policy scores on;
+        ``last_access`` is a ``time.monotonic()`` stamp, comparable only
+        within this process.
         """
         with self._lock:
             return [
@@ -210,13 +193,7 @@ class ByteBudgetLRU:
 # --------------------------------------------------------------------------- #
 def _options_signature(request: EnumerationRequest) -> Tuple[Tuple[str, str], ...]:
     """Hashable, order-insensitive digest of the solver-specific options."""
-    return tuple(
-        sorted(
-            (key, repr(value))
-            for key, value in request.options.items()
-            if key not in _INTERNAL_OPTIONS
-        )
-    )
+    return tuple(sorted((key, repr(value)) for key, value in request.options.items()))
 
 
 def _effective_config(request: EnumerationRequest) -> Optional[EnumerationConfig]:
@@ -264,7 +241,7 @@ _CACHEABLE_TERMINATIONS = (TERMINATION_COMPLETED, TERMINATION_RESULT_LIMIT)
 
 
 class ResultCache:
-    """LRU of completed :class:`EnumerationResponse` objects (tier 1).
+    """LRU of completed :class:`EnumerationResponse` objects.
 
     Only responses that ran to completion (or hit their explicit
     ``max_results`` budget, which is part of the key) are stored; timed-out
@@ -327,36 +304,17 @@ class ResultCache:
             and value.request.graph is graph  # type: ignore[union-attr]
         )
 
-    def export_requests(
-        self, limit: Optional[int] = None
-    ) -> List[EnumerationRequest]:
-        """The requests behind the hottest *live* entries, MRU first.
-
-        Only entries stored under their graph's **current** epoch are
-        returned — entries stranded under an older epoch are unreachable and
-        must not be replayed.  This is the warm-start export: the specs are
-        small (no response payloads) and re-executing them through the
-        normal service path rebuilds the cache from scratch.
-        """
-        requests: List[EnumerationRequest] = []
-        for key, value in self._lru.items_snapshot():
-            response: EnumerationResponse = value  # type: ignore[assignment]
-            if key[1] != response.request.graph.epoch:  # type: ignore[index]
-                continue
-            requests.append(response.request)
-            if limit is not None and len(requests) >= limit:
-                break
-        return requests
-
     def export_requests_scored(
         self,
     ) -> List[Tuple[EnumerationRequest, int, float]]:
         """``(request, hits, last_access)`` for every live entry, MRU first.
 
-        The compaction-aware variant of :meth:`export_requests`:
-        ``snapshot_service`` scores these by hit count with age decay to
-        decide which specs survive a bounded snapshot.  The same live-epoch
-        filter applies.
+        This is the warm-start export: ``snapshot_service`` scores these by
+        hit count with age decay to decide which specs survive a bounded
+        snapshot, and re-executing them through the normal service path
+        rebuilds the cache.  Only entries stored under their graph's
+        **current** epoch are returned — entries stranded under an older
+        epoch are unreachable and must not be replayed.
         """
         scored: List[Tuple[EnumerationRequest, int, float]] = []
         for key, value, hits, last_access in self._lru.export_entries():
@@ -365,122 +323,6 @@ class ResultCache:
                 continue
             scored.append((response.request, hits, last_access))
         return scored
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        self._lru.clear()
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    @property
-    def current_bytes(self) -> int:
-        """Estimated bytes currently held."""
-        return self._lru.current_bytes
-
-    def stats(self) -> Dict[str, object]:
-        """Hit/miss/eviction counters plus occupancy."""
-        return self._lru.stats()
-
-
-class SeedContextCache:
-    """LRU of materialised per-seed contexts (tier 2, the ROADMAP item).
-
-    One entry is the complete, ordered list of non-empty
-    :class:`~repro.core.seeds.SeedContext` objects of one
-    ``(graph, k, q, config)`` run — exactly what Algorithm 2 rebuilds from
-    scratch on every request.  :class:`~repro.core.enumerator.KPlexEnumerator`
-    fills an entry only when its seed sweep ran to completion and replays it
-    on later runs; contexts are read-only during the search (the parallel
-    executor already shares them across threads), so concurrent replays are
-    safe.
-    """
-
-    def __init__(
-        self,
-        max_entries: Optional[int] = 64,
-        max_bytes: Optional[int] = 32 * 1024 * 1024,
-    ) -> None:
-        self._lru = ByteBudgetLRU(max_entries=max_entries, max_bytes=max_bytes)
-
-    @staticmethod
-    def _key(
-        graph: Graph,
-        k: int,
-        q: int,
-        config: EnumerationConfig,
-        epoch: Optional[int],
-    ) -> Hashable:
-        return (id(graph), graph.epoch if epoch is None else epoch, k, q, config)
-
-    def get(
-        self,
-        graph: Graph,
-        k: int,
-        q: int,
-        config: EnumerationConfig,
-        epoch: Optional[int] = None,
-    ) -> Optional[List[SeedContext]]:
-        """Return the cached seed contexts of an equivalent run, if any."""
-        entry = self._lru.get(self._key(graph, k, q, config, epoch))
-        if entry is None:
-            return None
-        pinned_graph, contexts = entry  # type: ignore[misc]
-        # The stored strong reference pins id(graph); this is a cheap
-        # belt-and-braces check against key collisions.
-        if pinned_graph is not graph:  # pragma: no cover - defensive
-            return None
-        return contexts
-
-    def put(
-        self,
-        graph: Graph,
-        k: int,
-        q: int,
-        config: EnumerationConfig,
-        contexts: List[SeedContext],
-        epoch: Optional[int] = None,
-    ) -> bool:
-        """Store the complete seed-context list of a finished sweep.
-
-        Pass the ``epoch`` observed when the sweep *started*: an
-        ``invalidate()`` racing with the run then strands the entry under
-        the old epoch instead of publishing stale subgraphs under the new
-        one.  ``None`` reads the graph's current epoch (single-threaded
-        callers).
-        """
-        nbytes = sum(estimate_seed_context_bytes(context) for context in contexts)
-        return self._lru.put(
-            self._key(graph, k, q, config, epoch), (graph, contexts), nbytes
-        )
-
-    def invalidate_graph(self, graph: Graph) -> int:
-        """Eagerly drop every entry built from ``graph`` (any epoch)."""
-        target = id(graph)
-        return self._lru.remove_where(
-            lambda key, value: key[0] == target and value[0] is graph
-        )
-
-    def export_specs(
-        self, limit: Optional[int] = None
-    ) -> List[Tuple[Graph, int, int, int, EnumerationConfig]]:
-        """``(graph, epoch, k, q, config)`` of the live entries, MRU first.
-
-        The contexts themselves are deliberately not exported — replaying
-        the spec through a normal enumeration rebuilds them; only entries
-        under their graph's current epoch qualify (see
-        :meth:`ResultCache.export_requests`).
-        """
-        specs: List[Tuple[Graph, int, int, int, EnumerationConfig]] = []
-        for key, value in self._lru.items_snapshot():
-            graph = value[0]  # type: ignore[index]
-            _graph_id, epoch, k, q, config = key  # type: ignore[misc]
-            if epoch != graph.epoch:
-                continue
-            specs.append((graph, epoch, k, q, config))
-            if limit is not None and len(specs) >= limit:
-                break
-        return specs
 
     def clear(self) -> None:
         """Drop every entry."""

@@ -10,10 +10,10 @@ a :class:`~repro.service.catalog.GraphCatalog` of named graphs, with
   **admission control**: at most ``max_workers + max_queue_depth`` requests
   are outstanding, everything beyond is rejected with
   :class:`~repro.errors.ServiceOverloadError` instead of queueing unboundedly;
-* **cross-request caching**: a :class:`~repro.service.cache.ResultCache` of
-  completed responses and a :class:`~repro.service.cache.SeedContextCache`
-  of per-seed subgraphs, both byte-budgeted; identical concurrent misses
-  are coalesced so one search fills every waiter;
+* **cross-request caching**: a byte-budgeted
+  :class:`~repro.service.cache.ResultCache` of completed responses;
+  identical concurrent misses are coalesced so one search fills every
+  waiter;
 * **ServiceMetrics**: hit rate, p50/p95 latency, evictions, in-flight and
   admission counters, exported as one JSON-ready snapshot.
 
@@ -39,8 +39,6 @@ from ..api.response import (
     TERMINATION_TIMEOUT,
     EnumerationResponse,
 )
-from ..api.solvers import _ConfigurableSolver
-from ..api.registry import get_solver
 from ..errors import (
     CircuitOpenError,
     ParameterError,
@@ -57,7 +55,7 @@ from ..obs import (
     span,
 )
 from ..resilience import CircuitBreaker, resilience_stats
-from .cache import ResultCache, SeedContextCache, result_cache_key
+from .cache import ResultCache, result_cache_key
 from .catalog import GraphCatalog
 
 #: Outcome labels recorded per completed request.
@@ -82,9 +80,6 @@ class ServiceConfig:
     result_cache_entries / result_cache_bytes:
         Memory budget of the completed-response cache (``None`` = unbounded
         on that axis); set ``result_cache_entries=0`` to disable caching.
-    seed_cache_entries / seed_cache_bytes:
-        Memory budget of the seed-context tier; ``seed_cache_entries=0``
-        disables it.
     prepared_core_budget:
         Per-graph cap on retained ``core(level)`` subgraphs, applied through
         the catalog on registration (the prepared-index memory budget).
@@ -102,8 +97,6 @@ class ServiceConfig:
     default_timeout_seconds: Optional[float] = None
     result_cache_entries: Optional[int] = 256
     result_cache_bytes: Optional[int] = 64 * 1024 * 1024
-    seed_cache_entries: Optional[int] = 64
-    seed_cache_bytes: Optional[int] = 32 * 1024 * 1024
     prepared_core_budget: Optional[int] = None
     breaker_failure_threshold: Optional[int] = 5
     breaker_cooldown_seconds: float = 5.0
@@ -395,14 +388,6 @@ class KPlexService:
                 max_bytes=self.config.result_cache_bytes,
             )
         )
-        self._seed_cache: Optional[SeedContextCache] = (
-            None
-            if self.config.seed_cache_entries == 0
-            else SeedContextCache(
-                max_entries=self.config.seed_cache_entries,
-                max_bytes=self.config.seed_cache_bytes,
-            )
-        )
         self._metrics = ServiceMetrics()
         self._breaker: Optional[CircuitBreaker] = (
             None
@@ -582,10 +567,10 @@ class KPlexService:
     ):
         """Stream a request through the engine with the service's policies.
 
-        Applies the service's default timeout and seed-context-cache
-        injection, then returns the engine's lazy ``(iterator, outcome)``
-        pair (see :meth:`KPlexEngine.stream_run`).  Deliberately bypasses
-        the worker pool, admission control and the result cache: the async
+        Applies the service's default timeout, then returns the engine's
+        lazy ``(iterator, outcome)`` pair (see
+        :meth:`KPlexEngine.stream_run`).  Deliberately bypasses the worker
+        pool, admission control and the result cache: the async
         job subsystem (:mod:`repro.jobs`) carries its own concurrency and
         queue budget, and streamed results are consumed incrementally
         rather than materialised into a cacheable response.
@@ -595,23 +580,19 @@ class KPlexService:
                 "the service is closed and no longer accepts submissions"
             )
         request = self._apply_defaults(request)
-        return self._engine.stream_run(
-            self._inject_seed_cache(request), cancel=cancel, on_progress=on_progress
-        )
+        return self._engine.stream_run(request, cancel=cancel, on_progress=on_progress)
 
     def invalidate(self, name: str) -> int:
         """Retire every cached artefact of a catalog graph; return its epoch.
 
         Bumps the graph's epoch (so stale keys can never match again) and
-        eagerly drops its result/seed-context cache entries to free their
-        budget immediately.
+        eagerly drops its result-cache entries to free their budget
+        immediately.
         """
         entry = self.catalog.entry(name)
         epoch = self.catalog.invalidate(name)
         if self._result_cache is not None:
             self._result_cache.invalidate_graph(entry.graph)
-        if self._seed_cache is not None:
-            self._seed_cache.invalidate_graph(entry.graph)
         return epoch
 
     def check_breaker(self) -> None:
@@ -656,9 +637,6 @@ class KPlexService:
         snapshot["result_cache"] = (
             self._result_cache.stats() if self._result_cache is not None else None
         )
-        snapshot["seed_context_cache"] = (
-            self._seed_cache.stats() if self._seed_cache is not None else None
-        )
         snapshot["catalog"] = {
             "graphs": len(self.catalog),
             "memory_bytes": self.catalog.total_memory_bytes(),
@@ -697,11 +675,6 @@ class KPlexService:
     def result_cache(self) -> Optional[ResultCache]:
         """The response cache (``None`` when disabled)."""
         return self._result_cache
-
-    @property
-    def seed_context_cache(self) -> Optional[SeedContextCache]:
-        """The seed-context tier (``None`` when disabled)."""
-        return self._seed_cache
 
     @property
     def closed(self) -> bool:
@@ -766,24 +739,9 @@ class KPlexService:
             )
         return request
 
-    def _inject_seed_cache(self, request: EnumerationRequest) -> EnumerationRequest:
-        if (
-            self._seed_cache is None
-            or request.query_vertices is not None
-            or "seed_context_cache" in request.options
-        ):
-            return request
-        # Only the configurable branch-and-bound adapters know how to replay
-        # seed contexts; other solvers would reject (or ignore) the option.
-        if not issubclass(get_solver(request.solver), _ConfigurableSolver):
-            return request
-        options = dict(request.options)
-        options["seed_context_cache"] = self._seed_cache
-        return request.with_changes(options=options)
-
     def _run(self, request: EnumerationRequest) -> EnumerationResponse:
         with span("enumerate", solver=request.solver):
-            return self._engine.solve(self._inject_seed_cache(request))
+            return self._engine.solve(request)
 
     def _execute(
         self,

@@ -1,9 +1,9 @@
 """Deterministic memory estimators for the serving layer's budgets.
 
-The caches in :mod:`repro.service.cache` and the catalog's per-graph
+The result cache in :mod:`repro.service.cache` and the catalog's per-graph
 accounting need a *byte cost* for heterogeneous Python objects (graphs,
-prepared indexes, responses, seed contexts).  ``sys.getsizeof`` is shallow
-and recursive measurement is far too slow for a hot cache path, so the
+prepared indexes, responses).  ``sys.getsizeof`` is shallow and recursive
+measurement is far too slow for a hot cache path, so the
 estimators below use closed-form models calibrated against CPython 3.11
 container overheads.  They are estimates — stable, monotone in the payload
 size, and cheap — which is exactly what an eviction budget needs; nothing
@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.response import EnumerationResponse
-    from ..core.seeds import SeedContext
     from ..graph import Graph
     from ..graph.prepared import PreparedGraph
 
@@ -79,24 +78,4 @@ def estimate_response_bytes(response: "EnumerationResponse") -> int:
     for plex in response.kplexes:
         members = len(plex.vertices)
         total += _OBJECT + 2 * (_TUPLE_BASE + members * (_POINTER + _SMALL_INT))
-    return total
-
-
-def estimate_seed_context_bytes(context: "SeedContext") -> int:
-    """Approximate resident size of one cached :class:`SeedContext`.
-
-    Counts the dense subgraph (bitset adjacency rows plus the local index
-    dictionary) and the per-context lists; bitset rows cost ``size`` bits
-    each, rounded up to whole bytes, plus the int-object header.
-    """
-    size = context.subgraph.size
-    row_bytes = _SMALL_INT + max(1, size // 8)
-    total = _OBJECT * 2  # context + subgraph
-    total += size * (row_bytes + _POINTER)  # adjacency rows
-    total += size * (2 * _POINTER + _SET_ENTRY)  # local index dict
-    total += 3 * size * (_LIST_ENTRY + _SMALL_INT)  # vertices, degrees, masks
-    externals = len(context.external_vertices)
-    total += 2 * externals * (_LIST_ENTRY + row_bytes)
-    if context.pair_ok is not None:
-        total += size * (_LIST_ENTRY + row_bytes)
     return total

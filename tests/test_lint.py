@@ -373,8 +373,8 @@ class TestEpochKeyContract:
             """
             from repro.service.cache import ByteBudgetLRU, result_cache_key
 
-            def seed_cache_key(graph, request):
-                return ("seed",) + result_cache_key(graph, request)
+            def scoped_cache_key(graph, request):
+                return ("scope",) + result_cache_key(graph, request)
             """
         )
         assert "epoch-key-contract" not in checks_of(findings)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import EnumerationRequest, KPlexEngine
 from repro.core import enumerate_maximal_kplexes
 from repro.graph import generators
 from repro.parallel import (
@@ -36,6 +37,25 @@ def test_process_executor_matches_sequential():
         graph, k, q, ParallelConfig(num_workers=2, use_processes=True)
     )
     assert vertex_sets(parallel.kplexes) == sequential
+
+
+@pytest.mark.parametrize("use_processes", [False, True])
+def test_parallel_reports_the_heavy_seed_table(use_processes):
+    graph = generators.relaxed_caveman(6, 9, 0.2, seed=1)
+    engine = KPlexEngine()
+    ours = engine.solve(EnumerationRequest(graph=graph, k=2, q=5)).statistics
+    stats = engine.solve(
+        EnumerationRequest(
+            graph=graph,
+            k=2,
+            q=5,
+            solver="parallel",
+            options={"num_workers": 2, "use_processes": use_processes},
+        )
+    ).statistics
+    assert len(ours.top_seed_branch_calls()) == 31
+    assert stats.top_seed_branch_calls().keys() == ours.top_seed_branch_calls().keys()
+    assert sum(stats.per_seed_branch_calls.values()) == stats.branch_calls
 
 
 def test_executor_without_timeout_matches_sequential():

@@ -5,6 +5,8 @@ suite checks the paper's structural theorems and the correctness contract of
 the enumerator against the brute-force oracle.
 """
 
+import itertools
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,10 @@ from repro.graph.core_decomposition import (
 )
 from repro.graph.dense import DenseSubgraph
 from repro.graph.properties import is_connected_subset, subset_diameter
+from repro.jobs import JobManager
 from repro.parallel import ParallelConfig, parallel_enumerate_maximal_kplexes
+from repro.server import ServiceClient, start_server
+from repro.service import KPlexService, ServiceConfig
 
 from _helpers import (
     assert_matches_reference_core,
@@ -187,14 +192,14 @@ def test_variants_agree(case):
 # Differential harness: solvers, ablations and query mode against brute force
 # --------------------------------------------------------------------------- #
 @st.composite
-def differential_cases(draw):
+def differential_cases(draw, max_vertices=10):
     """Graph, k and q, with q reaching k + 4 so that the seed-side cuts bite.
 
     ``q + 1 - k`` is the external-set threshold of Algorithm 2 and
     ``q - 2k`` that of Corollary 5.2; both filter only once ``q`` is a few
     above ``k``.
     """
-    graph = draw(small_graphs())
+    graph = draw(small_graphs(max_vertices))
     k = draw(st.integers(min_value=1, max_value=3))
     q = draw(st.integers(min_value=max(2 * k - 1, 2), max_value=k + 4))
     return graph, k, q
@@ -302,3 +307,73 @@ def test_corollary_52_early_exit_matches_fixpoint(case):
         elif len(fixpoint) >= q:
             assert k >= 3
             assert not seed_in_large_kplex(graph, seed, fixpoint, k, q)
+
+
+# --------------------------------------------------------------------------- #
+# Transports: the service, in-process jobs, HTTP solve and NDJSON job streams
+# --------------------------------------------------------------------------- #
+def label_sets(lists) -> set:
+    """Result label lists off the wire as a comparable set of frozensets."""
+    return {frozenset(labels) for labels in lists}
+
+
+@SETTINGS
+@given(differential_cases(max_vertices=12))
+def test_service_miss_then_hit_match_brute_force(case):
+    graph, k, q = case
+    expected = brute_force_vertex_sets(graph, k, q)
+    with KPlexService(config=ServiceConfig(max_workers=1)) as service:
+        service.catalog.register("g", graph)
+        miss = service.solve("g", k=k, q=q)
+        hit = service.solve("g", k=k, q=q)
+        metrics = service.metrics()
+    assert (metrics["cache_misses"], metrics["cache_hits"]) == (1, 1)
+    assert vertex_sets(miss.kplexes) == expected
+    assert vertex_sets(hit.kplexes) == expected
+
+
+@SETTINGS
+@given(differential_cases(max_vertices=12))
+def test_job_manager_stream_matches_brute_force(case):
+    graph, k, q = case
+    expected = brute_force_vertex_sets(graph, k, q)
+    with KPlexService(config=ServiceConfig(max_workers=1)) as service:
+        service.catalog.register("g", graph)
+        with JobManager(service) as manager:
+            job = manager.submit("g", k=k, q=q)
+            records = [record for _index, record in job.iter_results()]
+            final = manager.wait(job.id).final_record()
+    assert final["done"] is True and final["state"] == "succeeded"
+    assert final["count"] == len(records)
+    assert label_sets(record["kplex"] for record in records) == expected
+
+
+def test_http_solve_and_job_stream_match_brute_force():
+    service = KPlexService(config=ServiceConfig(max_workers=2))
+    server = start_server(service, port=0)
+    client = ServiceClient(server.url)
+    client.wait_ready()
+    names = itertools.count()
+
+    @SETTINGS
+    @given(differential_cases(max_vertices=12))
+    def check(case):
+        graph, k, q = case
+        expected = brute_force_vertex_sets(graph, k, q)
+        name = f"g{next(names)}"
+        client.register(name, edges=list(graph.edges()), vertices=graph.labels())
+        solved = client.solve(name, k=k, q=q)
+        assert solved["count"] == len(solved["kplexes"])
+        assert label_sets(solved["kplexes"]) == expected
+
+        job = client.submit_job(name, k=k, q=q)
+        records = list(client.iter_job_results(job["id"]))
+        final, results = records[-1], records[:-1]
+        assert final["done"] is True and final["state"] == "succeeded"
+        assert final["count"] == len(results)
+        assert label_sets(record["kplex"] for record in results) == expected
+
+    try:
+        check()
+    finally:
+        server.drain()

@@ -1,5 +1,6 @@
 """Tests for the HTTP serving front-end, persistence and warm-start replay."""
 
+import dataclasses
 import json
 import threading
 import time
@@ -8,6 +9,7 @@ import urllib.request
 import pytest
 
 from repro.api import KPlexEngine, EnumerationRequest
+from repro.core import EnumerationConfig
 from repro.errors import (
     CatalogError,
     ParameterError,
@@ -328,7 +330,7 @@ def test_snapshot_document_shape(tmp_path):
     assert len(loaded["hot_requests"]) == 2
     # hot requests are replay specs, never payloads
     assert all("kplexes" not in spec for spec in loaded["hot_requests"])
-    assert len(loaded["seed_specs"]) == 1
+    assert "seed_specs" not in loaded
     assert document["hot_requests"][0]["graph"] == "toy"
 
 
@@ -350,6 +352,29 @@ def test_snapshot_roundtrip_restart_warms_cache(tmp_path):
     after = restarted.metrics()
     assert after["cache_hits"] == before + 1  # warm hit, not a recompute
     assert after["hit_rate"] > 0
+    assert response.vertex_sets() == baseline.vertex_sets()
+    restarted.close()
+
+
+def test_snapshot_with_legacy_seed_specs_still_warms(tmp_path):
+    # Snapshots from builds with a seed-context cache also carry a
+    # "seed_specs" list; it is ignored and the hot requests still replay.
+    service = make_service()
+    service.catalog.register("toy", EDGES)
+    baseline = service.solve("toy", k=2, q=3)
+    document = snapshot_service(service)
+    service.close()
+    config = dataclasses.asdict(EnumerationConfig.ours())
+    document["seed_specs"] = [{"graph": "toy", "epoch": 0, "k": 2, "q": 3, "config": config}]
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(document))
+
+    restarted = make_service()
+    report = warm_start(restarted, load_snapshot(path))
+    assert report.failed == 0 and report.replayed == len(document["hot_requests"]) == 1
+    before = restarted.metrics()["cache_hits"]
+    response = restarted.solve("toy", k=2, q=3)
+    assert restarted.metrics()["cache_hits"] == before + 1
     assert response.vertex_sets() == baseline.vertex_sets()
     restarted.close()
 

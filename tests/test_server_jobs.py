@@ -369,10 +369,13 @@ def test_per_request_timeout_is_accepted(served):
 # In-process drain while a stream is mid-flight
 # --------------------------------------------------------------------------- #
 def test_drain_cancel_terminates_midflight_stream_cleanly():
-    # Stream a job that is still queued behind blockers on a single job
+    # Stream a job that is still queued behind a blocker on a single job
     # worker: the heartbeat proves the stream is attached and live, and the
     # drain then cancels the job before it ever runs — a deterministic
-    # "drain while a stream is mid-flight" scenario.
+    # "drain while a stream is mid-flight" scenario.  The blocker cannot
+    # finish first: a reader attached to its one-entry result buffer never
+    # reads, so its producer waits on the first full buffer until the drain
+    # cancels it (unheld, it would run for seconds).
     service = make_service()
     server = start_server(
         service,
@@ -382,8 +385,8 @@ def test_drain_cancel_terminates_midflight_stream_cleanly():
     )
     client = ServiceClient(server.url)
     client.wait_ready()
-    for _ in range(5):
-        client.submit_job("busy", k=2, q=4)
+    blocker = client.submit_job("busy", k=3, q=5, result_buffer=1)["id"]
+    server.jobs.get(blocker).results.attach()
     record = client.submit_job("busy", k=2, q=4)
     stream = client.iter_job_results(
         record["id"], include_heartbeats=True, heartbeat=0.02
@@ -399,9 +402,9 @@ def test_drain_cancel_terminates_midflight_stream_cleanly():
     assert final["done"] is True
     assert final["state"] == "cancelled"
     assert final["termination"] == "cancelled"
-    # Whether the cancel landed while the job was still queued or already
-    # producing, the final record's count matches what was streamed.
+    # The final record's count matches what was streamed.
     assert final["count"] == sum(1 for r in consumed if "kplex" in r)
+    assert server.jobs.get(blocker).state == "cancelled"
 
 
 # --------------------------------------------------------------------------- #

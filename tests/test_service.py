@@ -5,8 +5,7 @@ import time
 
 import pytest
 
-from repro import EnumerationRequest, KPlexEngine, KPlexEnumerator
-from repro.core.config import EnumerationConfig
+from repro import EnumerationRequest, KPlexEngine
 from repro.datasets import load_dataset
 from repro.errors import CatalogError, ParameterError, ServiceError, ServiceOverloadError
 from repro.graph import Graph, generators, invalidate, prepare
@@ -17,7 +16,6 @@ from repro.service import (
     GraphCatalog,
     KPlexService,
     ResultCache,
-    SeedContextCache,
     ServiceConfig,
     estimate_graph_bytes,
     estimate_response_bytes,
@@ -323,18 +321,6 @@ def test_result_cache_store_uses_admission_time_key():
     assert cache.lookup(EnumerationRequest(graph=graph, k=2, q=3)) is None
 
 
-def test_seed_context_cache_put_uses_sweep_start_epoch():
-    graph = load_dataset("jazz")
-    cache = SeedContextCache()
-    enumerator = KPlexEnumerator(graph, 2, 8, seed_context_cache=cache)
-    invalidate(graph)  # epoch bump lands while the run is "in flight"
-    enumerator.run()
-    # The sweep's contexts were stored under the pre-bump epoch, so a new
-    # run (new epoch) rebuilds instead of replaying stale subgraphs.
-    assert cache.get(graph, 2, 8, EnumerationConfig.ours()) is None
-    assert cache.stats()["stores"] == 1
-
-
 def test_result_cache_invalidate_graph_drops_entries():
     engine = KPlexEngine()
     keep, drop = diamond_graph(), diamond_graph()
@@ -346,56 +332,6 @@ def test_result_cache_invalidate_graph_drops_entries():
     assert cache.invalidate_graph(drop) == 1
     assert cache.lookup(keep_request) is not None
     assert cache.lookup(drop_request) is None
-
-
-# --------------------------------------------------------------------------- #
-# Seed-context cache (enumerator-level reuse)
-# --------------------------------------------------------------------------- #
-def test_seed_context_cache_replay_is_identical():
-    graph = load_dataset("wiki-vote")
-    cache = SeedContextCache()
-    first = KPlexEnumerator(graph, 2, 8, seed_context_cache=cache).run()
-    assert cache.stats()["stores"] == 1
-    replay = KPlexEnumerator(graph, 2, 8, seed_context_cache=cache).run()
-    bare = KPlexEnumerator(graph, 2, 8).run()
-    assert replay.vertex_sets() == first.vertex_sets() == bare.vertex_sets()
-    assert cache.stats()["hits"] == 1
-
-
-def test_seed_context_cache_distinguishes_config_and_epoch():
-    graph = load_dataset("jazz")
-    cache = SeedContextCache()
-    KPlexEnumerator(graph, 2, 8, seed_context_cache=cache).run()
-    KPlexEnumerator(
-        graph, 2, 8, EnumerationConfig.basic(), seed_context_cache=cache
-    ).run()
-    assert cache.stats()["stores"] == 2
-    invalidate(graph)
-    KPlexEnumerator(graph, 2, 8, seed_context_cache=cache).run()
-    assert cache.stats()["stores"] == 3  # epoch changed: fresh entry
-
-
-def test_seed_context_cache_not_filled_by_abandoned_runs():
-    graph = load_dataset("jazz")
-    cache = SeedContextCache()
-    enumerator = KPlexEnumerator(graph, 2, 8, seed_context_cache=cache)
-    stream = enumerator.iter_results()
-    next(stream)
-    stream.close()  # abandoned early: a partial sweep must not be published
-    assert cache.stats()["stores"] == 0
-
-
-def test_engine_routes_seed_context_cache_option():
-    graph = load_dataset("jazz")
-    cache = SeedContextCache()
-    engine = KPlexEngine()
-    request = EnumerationRequest(
-        graph=graph, k=2, q=8, options={"seed_context_cache": cache}
-    )
-    first = engine.solve(request)
-    second = engine.solve(request)
-    assert cache.stats()["hits"] == 1
-    assert first.vertex_sets() == second.vertex_sets()
 
 
 # --------------------------------------------------------------------------- #
@@ -581,10 +517,9 @@ def test_service_byte_budget_eviction_under_load():
 
 
 def test_service_caches_are_optional():
-    config = ServiceConfig(result_cache_entries=0, seed_cache_entries=0)
+    config = ServiceConfig(result_cache_entries=0)
     with KPlexService(config=config) as service:
         assert service.result_cache is None
-        assert service.seed_context_cache is None
         service.catalog.register("g", diamond_graph())
         first = service.solve("g", k=2, q=3)
         second = service.solve("g", k=2, q=3)

@@ -7,7 +7,7 @@ regressions in any of them are visible independently of the end-to-end
 tables.
 """
 
-from repro.core import EnumerationConfig, build_seed_context, iter_seed_contexts
+from repro.core import EnumerationConfig, iter_seed_contexts
 from repro.core.bounds import support_bound
 from repro.core.pruning import build_pair_matrix
 from repro.core.seeds import iter_subtasks
@@ -33,17 +33,21 @@ def test_bench_degeneracy_ordering(benchmark):
 
 
 def test_bench_seed_context_construction(benchmark):
-    graph = load_dataset("soc-epinions")
+    """Algorithm 2 over every seed of enwiki-2021 at k=2, q=8.
+
+    Most seeds are rejected on Corollary 5.2; the 112 kept ones build their
+    seed subgraph, external set and pair matrix from neighbour counts.
+    """
+    graph = load_dataset("enwiki-2021")
     config = EnumerationConfig.ours()
     core, _ = shrink_to_core(graph, 8 - 2)
-    decomposition = core_decomposition(core)
-    position = decomposition.position()
-    seed = decomposition.order[0]
 
-    def build():
-        return build_seed_context(core, position, seed, 2, 8, config, SearchStatistics())
+    def build_all():
+        contexts = iter_seed_contexts(core, 2, 8, config, SearchStatistics())
+        return sum(context is not None for _seed, context in contexts)
 
-    benchmark(build)
+    kept = benchmark(build_all)
+    assert kept == 112
 
 
 def test_bench_subtask_enumeration(benchmark):

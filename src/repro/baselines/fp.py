@@ -51,18 +51,27 @@ def build_fp_seed_context(
     use_seed_pruning: bool = True,
     stats: Optional[SearchStatistics] = None,
 ) -> Optional[SeedContext]:
-    """Build an FP-style seed context: one candidate set, no sub-task split."""
+    """Build an FP-style seed context: one candidate set, no sub-task split.
+
+    Every earlier vertex within two hops of the seed is an external vertex:
+    FP applies no count cut to ``V'_i``.
+    """
     members = seed_subgraph_vertices(
         graph, order_position, seed_vertex, k, q, use_seed_pruning, stats
     )
     if members is None:
         return None
-    kept_neighbors, kept_two_hop, earlier = members
+    kept_neighbors, kept_two_hop, _counts = members
 
     local_vertices = [seed_vertex] + sorted(kept_neighbors + kept_two_hop)
     subgraph = DenseSubgraph(graph, local_vertices)
     candidate_mask = subgraph.full_mask & ~1  # everyone except the seed (index 0)
-    external_vertices = sorted(earlier)
+    seed_position = order_position[seed_vertex]
+    external_vertices = sorted(
+        vertex
+        for vertex in graph.neighborhood_within_two_hops(seed_vertex)
+        if order_position[vertex] < seed_position
+    )
     external_adjacency = [
         external_adjacency_mask(subgraph, vertex) for vertex in external_vertices
     ]

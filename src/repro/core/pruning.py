@@ -6,9 +6,10 @@ Two families of pruning are implemented here:
   seed subgraph ``G_i``: a vertex that does not share enough common
   neighbours with the seed can never occur in a k-plex of size ``q`` together
   with the seed and is removed before the dense subgraph is materialised.
-  Its two halves, :func:`corollary_52_neighbors` and
-  :func:`corollary_52_two_hop`, let a seed builder reject a seed on its
-  neighbours alone before it computes the seed's two-hop vertices.
+  Its neighbour half, :func:`corollary_52_neighbors`, lets a seed builder
+  reject a seed on its neighbours alone; the seed builder of Algorithm 2
+  then applies the two-hop half from neighbour counts
+  (:mod:`repro.core.seeds`).
 
 * :func:`build_pair_matrix` precomputes the boolean co-occurrence matrix ``T``
   of Theorems 5.13–5.15.  ``T[u][v]`` is ``False`` when ``u`` and ``v`` cannot
@@ -56,19 +57,6 @@ def corollary_52_neighbors(
     return kept
 
 
-def corollary_52_two_hop(
-    graph: Graph, kept_neighbors: Set[int], two_hop: Iterable[int], k: int, q: int
-) -> List[int]:
-    """The two-hop half of Corollary 5.2, applied once against ``S*``.
-
-    Keeps the vertices ``u`` of ``two_hop`` (the seed's non-neighbours in
-    ``G_i``) with ``|N(u) ∩ S*| >= q - 2k + 2``.  One pass is the fixpoint:
-    removing two-hop vertices changes no count.
-    """
-    threshold = q - 2 * k + 2
-    return [u for u in two_hop if len(graph.neighbors(u) & kept_neighbors) >= threshold]
-
-
 def corollary_52_keep(
     graph: Graph, seed: int, vertices: Iterable[int], k: int, q: int
 ) -> Set[int]:
@@ -83,7 +71,7 @@ def corollary_52_keep(
     re-applied until a fixpoint is reached.  Both counts range over kept
     seed neighbours only, so the neighbours' fixpoint ``S*`` is computed
     first (:func:`corollary_52_neighbors`) and the non-neighbours are then
-    filtered against it in one pass (:func:`corollary_52_two_hop`).
+    filtered against it in one pass: removing non-neighbours changes no count.
 
     When ``S*`` has fewer than ``q - k`` vertices the seed lies in no k-plex
     of ``q`` or more vertices, and the non-neighbours are not looked at.
@@ -98,7 +86,11 @@ def corollary_52_keep(
     neighbors = graph.neighbors(seed)
     kept = corollary_52_neighbors(graph, candidates & neighbors, k, q)
     if len(kept) >= q - k:
-        kept.update(corollary_52_two_hop(graph, kept, candidates - neighbors, k, q))
+        threshold = q - 2 * k + 2
+        # A list, so every count is taken against S* before ``kept`` grows.
+        kept.update(
+            [u for u in candidates - neighbors if len(graph.neighbors(u) & kept) >= threshold]
+        )
     kept.add(seed)
     return kept
 
@@ -145,50 +137,55 @@ def build_pair_matrix(
     out ``u`` and ``v`` co-occurring in a k-plex of size at least ``q`` inside
     this seed subgraph.  The seed vertex row allows everything (the seed is in
     every k-plex of the task group by construction).
+
+    Each theorem's two thresholds are computed once, as a ``(non-adjacent,
+    adjacent)`` pair indexed by the pair's adjacency bit.  The common
+    neighbours are counted inside ``C_S``; the theorems count them inside
+    ``C_S`` minus the pair's own candidates, which is the same number
+    because a vertex is never its own neighbour.  A theorem whose thresholds
+    are both at most zero rules out no pair and is skipped.
     """
     size = subgraph.size
     full = subgraph.full_mask
-    pair_ok = [full] * size
     adjacency = subgraph.adjacency
+    common_rows = [row & candidate_mask for row in adjacency]
+    denied = [0] * size
 
-    locals_two_hop = list(iter_bits(two_hop_mask))
-    locals_candidates = list(iter_bits(candidate_mask))
+    def sweep(pairs_of, thresholds) -> None:
+        if max(thresholds) <= 0:
+            return
+        for u, others in pairs_of:
+            row = adjacency[u]
+            common_row = common_rows[u]
+            for v in others:
+                if (common_row & adjacency[v]).bit_count() < thresholds[(row >> v) & 1]:
+                    denied[u] |= 1 << v
+                    denied[v] |= 1 << u
 
-    def disallow(u: int, v: int) -> None:
-        pair_ok[u] &= ~(1 << v)
-        pair_ok[v] &= ~(1 << u)
-
+    two_hop = list(iter_bits(two_hop_mask))
+    candidates = list(iter_bits(candidate_mask))
     # Theorem 5.13: both vertices from the two-hop set.
-    for index, u in enumerate(locals_two_hop):
-        for v in locals_two_hop[index + 1 :]:
-            adjacent = (adjacency[u] >> v) & 1 == 1
-            common = (adjacency[u] & adjacency[v] & candidate_mask).bit_count()
-            if common < _pair_threshold_both_two_hop(k, q, adjacent):
-                disallow(u, v)
-
+    sweep(
+        ((u, two_hop[index + 1 :]) for index, u in enumerate(two_hop)),
+        (_pair_threshold_both_two_hop(k, q, False), _pair_threshold_both_two_hop(k, q, True)),
+    )
     # Theorem 5.14: one two-hop vertex with one candidate vertex.
-    for u in locals_two_hop:
-        for v in locals_candidates:
-            adjacent = (adjacency[u] >> v) & 1 == 1
-            reduced_candidates = candidate_mask & ~(1 << v)
-            common = (adjacency[u] & adjacency[v] & reduced_candidates).bit_count()
-            if common < _pair_threshold_mixed(k, q, adjacent):
-                disallow(u, v)
-
+    sweep(
+        ((u, candidates) for u in two_hop),
+        (_pair_threshold_mixed(k, q, False), _pair_threshold_mixed(k, q, True)),
+    )
     # Theorem 5.15: both vertices from the candidate set.
-    for index, u in enumerate(locals_candidates):
-        for v in locals_candidates[index + 1 :]:
-            adjacent = (adjacency[u] >> v) & 1 == 1
-            reduced_candidates = candidate_mask & ~(1 << u) & ~(1 << v)
-            common = (adjacency[u] & adjacency[v] & reduced_candidates).bit_count()
-            if common < _pair_threshold_both_candidates(k, q, adjacent):
-                disallow(u, v)
+    sweep(
+        ((u, candidates[index + 1 :]) for index, u in enumerate(candidates)),
+        (
+            _pair_threshold_both_candidates(k, q, False),
+            _pair_threshold_both_candidates(k, q, True),
+        ),
+    )
 
-    # The seed may co-occur with every surviving vertex of its own subgraph.
-    pair_ok[seed_local] = full
-    for u in range(size):
-        pair_ok[u] |= 1 << seed_local
-    return pair_ok
+    # The seed lies in neither set, so it may co-occur with every surviving
+    # vertex of its own subgraph.
+    return [full & ~row for row in denied]
 
 
 def pairs_allowed(pair_ok: Optional[Sequence[int]], u: int, mask: int) -> int:

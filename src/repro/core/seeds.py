@@ -11,8 +11,8 @@ Algorithm 3; the exclusive set ``X`` carries both the seed subgraph vertices
 excluded from ``S`` and the *external* vertices that precede ``v_i`` in the
 ordering but could still witness non-maximality.
 
-Corollary 5.2 runs in an order that rejects a doomed seed before anything
-two hops away is touched.  Both of its thresholds count only the seed's kept
+A kept seed's ``G_i`` is built from neighbour counts, not from a two-hop
+sweep.  Both thresholds of Corollary 5.2 count only the seed's kept
 *neighbours* (``|N(u) ∩ N(v_i) ∩ kept|``), so the neighbour rule
 (``< q - 2k``) is first iterated to its fixpoint ``S*`` over the later
 neighbours alone.  The seed is rejected when ``|S*| < q - k``: in any k-plex
@@ -21,31 +21,44 @@ neighbours alone.  The seed is rejected when ``|S*| < q - k``: in any k-plex
 ``P``, so all of them lie in ``S*``.  For ``k <= 2`` the corollary itself
 already implies this cut (a two-hop vertex needs ``q - 2k + 2 > |S*|``
 neighbours in ``S*``, so ``G_i`` would keep fewer than ``q`` vertices); for
-``k >= 3`` it rejects more seeds.  Only a surviving seed computes its two-hop
-vertices, and keeps the later ones with ``|N(u) ∩ S*| >= q - 2k + 2`` in a
-single pass, since dropping two-hop vertices changes no count.  A kept
-seed's ``G_i`` is exactly the corollary's fixpoint.
+``k >= 3`` it rejects more seeds.
 
-Only the external vertices with at least ``q + 1 - k`` neighbours in the
-pruned ``G_i`` are kept.  This drops no witness: a vertex ``u`` that extends
-a result ``H ⊆ G_i`` with ``|H| >= q`` makes ``H ∪ {u}`` a k-plex, so
-``|N(u) ∩ H| >= |H| + 1 - k >= q + 1 - k``.  The neighbours are counted with
-a set intersection before anything is projected into the local index, so
-the discarded majority of ``V'_i`` costs one count each.
+A surviving seed then counts, in one C-level pass over the neighbour sets of
+``S*``, ``|N(u) ∩ S*|`` for every vertex ``u``.  A two-hop vertex is kept
+when that count is at least ``q - 2k + 2``, and since ``q >= 2k - 1`` makes
+this at least 1, every vertex the rule can keep shows up in the count: the
+later vertices that share no neighbour with ``S*`` fail the rule and are never
+enumerated.  One pass is the fixpoint, since dropping two-hop vertices changes
+no count, so a kept seed's ``G_i`` is exactly the corollary's fixpoint.
+
+The same counter, extended with the neighbour sets of the seed and of the
+kept two-hop vertices, then holds ``|N(u) ∩ G_i|`` for every vertex.  Only
+the external vertices with at least ``q + 1 - k`` neighbours in the pruned
+``G_i`` are kept.  This drops no witness: a vertex ``u`` that extends a
+result ``H ⊆ G_i`` with ``|H| >= q`` makes ``H ∪ {u}`` a k-plex, so
+``|N(u) ∩ H| >= |H| + 1 - k >= q + 1 - k``.  The count also reaches
+vertices three hops from the seed (neighbours of two-hop members), so each
+survivor is checked to lie within two hops, as ``V'_i`` requires.
+
+Without Corollary 5.2 (the ``use_seed_pruning`` ablation) ``G_i`` is Eq
+(1)'s full vertex set, which includes two-hop vertices reached only through
+*earlier* neighbours, so that path takes the two-hop sweep instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..graph import Graph
-from ..graph.bitset import bits_to_list, iter_bits
+from ..graph.bitset import bits_to_list
 from ..graph.dense import DenseSubgraph, external_adjacency_mask
 from ..graph.prepared import PreparedGraph, prepare
 from .bounds import seed_task_bound
 from .config import EnumerationConfig
-from .pruning import build_pair_matrix, corollary_52_neighbors, corollary_52_two_hop
+from .pruning import build_pair_matrix, corollary_52_neighbors
 from .stats import SearchStatistics
 
 
@@ -120,22 +133,23 @@ def seed_subgraph_vertices(
     q: int,
     use_seed_pruning: bool,
     stats: Optional[SearchStatistics] = None,
-) -> Optional[Tuple[List[int], List[int], List[int]]]:
+) -> Optional[Tuple[List[int], List[int], Counter]]:
     """The vertices of one seed's pruned ``G_i``, or ``None`` if the seed is rejected.
 
     Returns the kept later neighbours and the kept later two-hop vertices of
-    ``seed_vertex`` (each sorted by vertex id), and the earlier vertices
-    within two hops (the pool of external vertices).  With
-    ``use_seed_pruning`` Corollary 5.2 runs in the order of the module
-    docstring, so a seed rejected on its neighbours never pays for the
-    two-hop sweep.  ``None`` is returned, and counted in
-    ``stats.seeds_pruned_empty``, when ``G_i`` cannot hold a k-plex with
-    ``q`` vertices.
+    ``seed_vertex`` (each sorted by vertex id), and a ``Counter`` holding
+    ``|N(u) ∩ G_i|`` for every vertex ``u`` with a neighbour in ``G_i``.
+    With ``use_seed_pruning`` Corollary 5.2 runs in the order of the module
+    docstring: a seed rejected on its neighbours counts nothing further, and
+    a surviving seed finds its two-hop vertices in the count over ``S*``
+    (``q >= 2k - 1`` is assumed, as :func:`repro.core.kplex.validate_parameters`
+    enforces).  Without it ``G_i`` is Eq (1)'s later vertices within two hops.
+    ``None`` is returned, and counted in ``stats.seeds_pruned_empty``, when
+    ``G_i`` cannot hold a k-plex with ``q`` vertices.
     """
     seed_position = order_position[seed_vertex]
     neighbors = graph.neighbors(seed_vertex)
-    later_neighbors = {v for v in neighbors if order_position[v] > seed_position}
-    kept_neighbors = later_neighbors
+    later_neighbors = [v for v in neighbors if order_position[v] > seed_position]
     if use_seed_pruning:
         kept_neighbors = corollary_52_neighbors(graph, later_neighbors, k, q)
         if stats is not None:
@@ -144,20 +158,29 @@ def seed_subgraph_vertices(
             if stats is not None:
                 stats.seeds_pruned_empty += 1
             return None
-
-    two_hop = graph.two_hop_neighbors(seed_vertex)
-    later_two_hop = [v for v in two_hop if order_position[v] > seed_position]
-    kept_two_hop = later_two_hop
-    if use_seed_pruning:
-        kept_two_hop = corollary_52_two_hop(graph, kept_neighbors, later_two_hop, k, q)
+        # |N(u) ∩ S*| for every u; the later non-neighbours counted are the
+        # only two-hop vertices the rule could keep.
+        counts = Counter(chain.from_iterable(map(graph.neighbors, kept_neighbors)))
+        later_two_hop = [
+            v for v in counts.keys() - neighbors if order_position[v] > seed_position
+        ]
+        threshold = q - 2 * k + 2
+        kept_two_hop = [v for v in later_two_hop if counts[v] >= threshold]
         if stats is not None:
             stats.vertices_pruned_by_corollary += len(later_two_hop) - len(kept_two_hop)
+        uncounted = [seed_vertex] + kept_two_hop
+    else:
+        kept_neighbors = later_neighbors
+        two_hop = graph.two_hop_neighbors(seed_vertex)
+        kept_two_hop = [v for v in two_hop if order_position[v] > seed_position]
+        counts = Counter()
+        uncounted = [seed_vertex] + kept_neighbors + kept_two_hop
     if 1 + len(kept_neighbors) + len(kept_two_hop) < q:
         if stats is not None:
             stats.seeds_pruned_empty += 1
         return None
-    earlier = [v for v in neighbors | two_hop if order_position[v] < seed_position]
-    return sorted(kept_neighbors), sorted(kept_two_hop), earlier
+    counts.update(chain.from_iterable(map(graph.neighbors, uncounted)))
+    return sorted(kept_neighbors), sorted(kept_two_hop), counts
 
 
 def build_seed_context(
@@ -175,17 +198,18 @@ def build_seed_context(
     degeneracy ordering.  ``None`` is returned when the (pruned) seed
     subgraph is too small to contain a k-plex with ``q`` vertices.
 
-    The expansion runs on the frozenset adjacency, whose C-level set unions
-    are the fastest two-hop sweep under CPython; the prepared-graph index
-    speeds this function up only through what it *caches* (the ordering and
-    the shrunk core the caller passes in).
+    The external vertices are read off the neighbour counts of
+    :func:`seed_subgraph_vertices` (module docstring): an earlier vertex is
+    kept when it has at least ``q + 1 - k`` neighbours in ``G_i`` and lies
+    within two hops of the seed, a C-level membership or disjointness test
+    paid only by the few vertices that pass the count.
     """
     members = seed_subgraph_vertices(
         graph, order_position, seed_vertex, k, q, config.use_seed_pruning, stats
     )
     if members is None:
         return None
-    kept_neighbors, kept_two_hop, earlier = members
+    kept_neighbors, kept_two_hop, counts = members
 
     # Local ordering: seed first, then its neighbours, then its non-neighbours,
     # each group sorted by vertex id.  Keeping the seed at index 0 makes masks
@@ -196,21 +220,20 @@ def build_seed_context(
     candidate_mask = subgraph.mask_of_parents(kept_neighbors)
     two_hop_mask = subgraph.mask_of_parents(kept_two_hop)
 
-    # External exclusive vertices: earlier in the ordering, within two hops,
-    # and with at least q + 1 - k neighbours in G_i (see the module
-    # docstring).  Count with a C-level set intersection; project only the
-    # survivors.
-    kept = set(local_vertices)
+    seed_position = order_position[seed_vertex]
+    neighbors = graph.neighbors(seed_vertex)
     external_threshold = q + 1 - k
     external_vertices = sorted(
         vertex
-        for vertex in earlier
-        if len(graph.neighbors(vertex) & kept) >= external_threshold
+        for vertex, count in counts.items()
+        if count >= external_threshold
+        and order_position[vertex] < seed_position
+        and (vertex in neighbors or not graph.neighbors(vertex).isdisjoint(neighbors))
     )
     external_adjacency = [
         external_adjacency_mask(subgraph, vertex) for vertex in external_vertices
     ]
-    degrees = [subgraph.degree(v) for v in range(subgraph.size)]
+    degrees = [row.bit_count() for row in subgraph.adjacency]
 
     pair_ok = None
     if config.use_pair_pruning:

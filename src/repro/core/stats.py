@@ -39,10 +39,13 @@ class SearchStatistics:
     outputs: int = 0
     branches_pruned_by_upper_bound: int = 0
     candidates_pruned_by_pairs: int = 0
-    # Vertices Corollary 5.2 dropped from seed subgraphs.  A seed rejected on
-    # its neighbours (fewer than q - k survive) adds only the later
-    # neighbours dropped before the reject; its two-hop vertices are never
-    # computed, so they are not counted.
+    # Vertices Corollary 5.2 dropped from seed subgraphs: the later
+    # neighbours outside the fixpoint S*, plus the counted later two-hop
+    # vertices not kept.  A two-hop vertex is counted only when it has a
+    # neighbour in S* (repro.core.seeds finds two-hop vertices by counting
+    # over S*); one without fails the rule anyway and is not enumerated.  A
+    # seed rejected on its neighbours (fewer than q - k survive) adds only
+    # the later neighbours dropped before the reject.
     vertices_pruned_by_corollary: int = 0
     maximality_rejections: int = 0
     elapsed_seconds: float = 0.0

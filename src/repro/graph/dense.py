@@ -9,7 +9,7 @@ filtering) become integer bit operations on these rows.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import GraphError
 from .bitset import bits_to_list, iter_bits, mask_from_indices
@@ -27,24 +27,20 @@ class DenseSubgraph:
         Parent vertex ids included in the subgraph, in local-index order.
     """
 
-    __slots__ = ("parent", "vertices", "index", "adjacency", "full_mask")
+    __slots__ = ("parent", "vertices", "members", "index", "adjacency", "full_mask")
 
     def __init__(self, parent: Graph, vertices: Sequence[int]) -> None:
         self.parent = parent
         self.vertices: List[int] = list(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        self.members: FrozenSet[int] = frozenset(self.vertices)
+        if len(self.members) != len(self.vertices):
             raise GraphError("duplicate vertices in dense subgraph")
         self.index: Dict[int, int] = {
             vertex: position for position, vertex in enumerate(self.vertices)
         }
-        self.adjacency: List[int] = [0] * len(self.vertices)
-        for local, vertex in enumerate(self.vertices):
-            row = 0
-            for neighbour in parent.neighbors(vertex):
-                other = self.index.get(neighbour)
-                if other is not None:
-                    row |= 1 << other
-            self.adjacency[local] = row
+        self.adjacency: List[int] = [
+            external_adjacency_mask(self, vertex) for vertex in self.vertices
+        ]
         self.full_mask = (1 << len(self.vertices)) - 1
 
     # ------------------------------------------------------------------ #
@@ -126,16 +122,17 @@ class DenseSubgraph:
 
 
 def external_adjacency_mask(subgraph: DenseSubgraph, parent_vertex: int) -> int:
-    """Return the bitset of subgraph vertices adjacent to an *external* vertex.
+    """Return the bitset of subgraph vertices adjacent to a parent-graph vertex.
 
     Exclusive-set vertices coming from ``V'_i`` (earlier in the degeneracy
     ordering) are not part of the seed subgraph, yet the maximality check must
-    know which subgraph vertices they touch.  This helper projects their
-    parent-graph neighbourhood onto the subgraph's local index space.
+    know which subgraph vertices they touch; the subgraph's own adjacency
+    rows are built the same way.  Only the neighbours inside the subgraph are
+    visited, found by a C-level set intersection, so a high-degree vertex
+    costs no more than its neighbours in the subgraph.
     """
+    index = subgraph.index
     row = 0
-    for neighbour in subgraph.parent.neighbors(parent_vertex):
-        local = subgraph.index.get(neighbour)
-        if local is not None:
-            row |= 1 << local
+    for neighbour in subgraph.parent.neighbors(parent_vertex) & subgraph.members:
+        row |= 1 << index[neighbour]
     return row

@@ -20,8 +20,33 @@ from ..registry import Check, register_check
 
 __all__ = ["EpochKeyContract", "ResourceCleanup"]
 
-#: Names whose presence marks a module as cache-key territory.
-_CACHE_MARKERS = ("ByteBudgetLRU", "ResultCache", "result_cache_key")
+#: Names whose use marks a module as cache-key territory: imported (under
+#: any alias), defined, referenced, called, read as an attribute, or named
+#: by an exact string (``__all__``, ``getattr``).
+_CACHE_MARKERS = frozenset({"ByteBudgetLRU", "ResultCache", "result_cache_key"})
+
+#: Attributes that hold a cache: ``KPlexService.result_cache`` is its
+#: ``ResultCache``.
+_CACHE_ATTRIBUTES = frozenset({"result_cache"})
+
+
+def _uses_cache(node: ast.AST) -> bool:
+    """Whether one AST node imports, defines or references a cache marker.
+
+    Comments are not in the tree and a docstring is a longer string than
+    any marker, so prose that names a cache selects nothing.
+    """
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return any(alias.name.rsplit(".", 1)[-1] in _CACHE_MARKERS for alias in node.names)
+    if isinstance(node, ast.Name):
+        return node.id in _CACHE_MARKERS
+    if isinstance(node, ast.Attribute):
+        return node.attr in _CACHE_MARKERS or node.attr in _CACHE_ATTRIBUTES
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.name in _CACHE_MARKERS
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and node.value in _CACHE_MARKERS
+    return False
 
 
 def _is_key_builder(name: str) -> bool:
@@ -34,11 +59,12 @@ def _is_key_builder(name: str) -> bool:
 class EpochKeyContract(Check):
     """Cache-key construction that omits the graph epoch.
 
-    In modules that touch the byte-budgeted caches, any key-builder
+    In modules whose code touches the byte-budgeted caches, any key-builder
     function (``_key``, ``*_cache_key``, ``*_key``) must reference
     ``.epoch`` (or take an explicit ``epoch`` parameter, or delegate to
-    another key builder).  Likewise, a literal tuple passed straight into
-    ``<cache>.put(...)``/``.get(...)`` must carry ``.epoch``.  Keys
+    another key builder).  In every module, a literal tuple passed straight
+    into ``<cache>.put(...)``/``.get(...)`` must carry ``.epoch``: the
+    receiver's name already says it is a cache.  Keys
     without the epoch serve results computed from a *previous* state of a
     mutated graph — the exact staleness bug the epoch token exists to
     make impossible.
@@ -48,14 +74,16 @@ class EpochKeyContract(Check):
 
     def run(self, project: Project) -> Iterator[Finding]:
         for module in project.modules:
-            if module.tree is None or not self._is_cache_module(module):
+            if module.tree is None:
                 continue
-            yield from self._check_key_builders(module)
+            if self._is_cache_module(module):
+                yield from self._check_key_builders(module)
             yield from self._check_inline_keys(module)
 
     @staticmethod
     def _is_cache_module(module: SourceModule) -> bool:
-        return any(marker in module.text for marker in _CACHE_MARKERS)
+        """Modules whose code, not prose, touches a cache (see ``_uses_cache``)."""
+        return any(_uses_cache(node) for node in module.walk())
 
     def _check_key_builders(self, module: SourceModule) -> Iterator[Finding]:
         for node in module.walk():

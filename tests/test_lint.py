@@ -389,6 +389,34 @@ class TestEpochKeyContract:
         )
         assert "epoch-key-contract" not in checks_of(findings)
 
+    def test_negative_cache_named_only_in_a_comment(self):
+        """Prose that names a cache does not put a module in scope."""
+        findings = run_on(
+            '''
+            # Rows here are keyed like the ResultCache and ByteBudgetLRU
+            # entries, via result_cache_key.
+            def partition_key(row):
+                """Unlike ResultCache keys, this one needs no epoch."""
+                return (row.shard, row.bucket)
+            '''
+        )
+        assert "epoch-key-contract" not in checks_of(findings)
+
+    def test_positive_aliased_cache_import(self):
+        findings = run_on(
+            """
+            from repro.service.cache import ResultCache as RC
+
+            def scoped_key(request):
+                return (request.k, request.q)
+
+            CACHE = RC(max_entries=4)
+            """
+        )
+        hits = [f for f in findings if f.check == "epoch-key-contract"]
+        assert len(hits) == 1
+        assert "scoped_key" in hits[0].subject
+
     def test_positive_inline_literal_key(self):
         findings = run_on(
             """

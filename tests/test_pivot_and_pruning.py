@@ -4,12 +4,19 @@ import itertools
 
 from repro.core.kplex import is_kplex
 from repro.core.pivot import repick_pivot_from_candidates, select_pivot
-from repro.core.pruning import build_pair_matrix, corollary_52_keep, pairs_allowed
+from repro.core.pruning import (
+    _pair_threshold_both_candidates,
+    _pair_threshold_both_two_hop,
+    _pair_threshold_mixed,
+    build_pair_matrix,
+    corollary_52_keep,
+    pairs_allowed,
+)
 from repro.graph import generators
-from repro.graph.bitset import contains, mask_from_indices
+from repro.graph.bitset import bits_to_list, contains, mask_from_indices
 from repro.graph.dense import DenseSubgraph
 
-from _helpers import corollary_52_fixpoint, corollary_52_rejects
+from _helpers import corollary_52_fixpoint, corollary_52_rejects, random_graph_cases
 
 
 def _figure3_subgraph():
@@ -179,6 +186,69 @@ def test_pair_matrix_soundness_against_brute_force():
                 assert not (u in member_set and v in member_set), (
                     f"forbidden pair {(u, v)} appears in valid k-plex {members}"
                 )
+
+
+def _reference_pair_matrix(dense, seed_local, candidate_mask, two_hop_mask, k, q):
+    """Theorems 5.13–5.15 applied pair by pair, as the paper states them.
+
+    Each pair looks up its own threshold, and the common neighbours are
+    counted inside ``C_S`` minus the pair's own candidate vertices.
+    """
+    allowed = [[True] * dense.size for _ in range(dense.size)]
+
+    def check(u, v, within, threshold_of):
+        common = dense.common_neighbors_count(u, v, within)
+        if common < threshold_of(k, q, dense.has_edge(u, v)):
+            allowed[u][v] = allowed[v][u] = False
+
+    two_hop = bits_to_list(two_hop_mask)
+    candidates = bits_to_list(candidate_mask)
+    for u, v in itertools.combinations(two_hop, 2):
+        check(u, v, candidate_mask, _pair_threshold_both_two_hop)
+    for u in two_hop:
+        for v in candidates:
+            check(u, v, candidate_mask & ~(1 << v), _pair_threshold_mixed)
+    for u, v in itertools.combinations(candidates, 2):
+        check(u, v, candidate_mask & ~(1 << u) & ~(1 << v), _pair_threshold_both_candidates)
+    for u in range(dense.size):
+        allowed[u][seed_local] = allowed[seed_local][u] = True
+    return [
+        mask_from_indices(v for v in range(dense.size) if allowed[u][v])
+        for u in range(dense.size)
+    ]
+
+
+def test_pair_matrix_matches_per_pair_thresholds():
+    """The hoisted thresholds give the rows of the pair-by-pair rules.
+
+    Covers k = 1–4 and q from 2k - 1 to 2k + 4, so thresholds that are
+    negative (every pair allowed) and ones clamped by ``max(...)`` occur.
+    """
+    thresholds = set()
+    denied = 0
+    for graph in random_graph_cases(8, max_vertices=14, seed=31):
+        for seed_vertex in list(graph.vertices())[:4]:
+            neighbors = sorted(graph.neighbors(seed_vertex))
+            two_hop = sorted(graph.two_hop_neighbors(seed_vertex))
+            dense = DenseSubgraph(graph, [seed_vertex] + neighbors + two_hop)
+            candidate_mask = dense.mask_of_parents(neighbors)
+            two_hop_mask = dense.mask_of_parents(two_hop)
+            for k in (1, 2, 3, 4):
+                for q in range(2 * k - 1, 2 * k + 5):
+                    rows = build_pair_matrix(dense, 0, candidate_mask, two_hop_mask, k, q)
+                    reference = _reference_pair_matrix(
+                        dense, 0, candidate_mask, two_hop_mask, k, q
+                    )
+                    assert rows == reference, (seed_vertex, k, q)
+                    denied += sum(dense.size - row.bit_count() for row in rows)
+                    for rule in (
+                        _pair_threshold_both_two_hop,
+                        _pair_threshold_mixed,
+                        _pair_threshold_both_candidates,
+                    ):
+                        thresholds.update(rule(k, q, adjacent) for adjacent in (False, True))
+    assert min(thresholds) < 0
+    assert denied > 0
 
 
 def test_pairs_allowed_without_matrix_is_identity():

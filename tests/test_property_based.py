@@ -319,6 +319,20 @@ def label_sets(lists) -> set:
 
 @SETTINGS
 @given(differential_cases(max_vertices=12))
+def test_engine_stream_matches_brute_force(case):
+    """``KPlexEngine.stream()`` yields every maximal k-plex exactly once."""
+    graph, k, q = case
+    expected = brute_force_vertex_sets(graph, k, q)
+    streamed = [
+        frozenset(plex.vertices)
+        for plex in KPlexEngine().stream(EnumerationRequest(graph=graph, k=k, q=q))
+    ]
+    assert len(streamed) == len(set(streamed))
+    assert set(streamed) == expected
+
+
+@SETTINGS
+@given(differential_cases(max_vertices=12))
 def test_service_miss_then_hit_match_brute_force(case):
     graph, k, q = case
     expected = brute_force_vertex_sets(graph, k, q)
@@ -372,6 +386,45 @@ def test_http_solve_and_job_stream_match_brute_force():
         assert final["done"] is True and final["state"] == "succeeded"
         assert final["count"] == len(results)
         assert label_sets(record["kplex"] for record in results) == expected
+
+    try:
+        check()
+    finally:
+        server.drain()
+
+
+def test_http_job_results_resume_at_start_matches_brute_force():
+    """``/v1/jobs/{id}/results?start=m`` continues the stream after record m.
+
+    The first ``m`` records of the full stream followed by the records read
+    from ``start=m`` are the full stream again, and brute force's answer.
+    """
+    service = KPlexService(config=ServiceConfig(max_workers=2))
+    server = start_server(service, port=0)
+    client = ServiceClient(server.url)
+    client.wait_ready()
+    names = itertools.count()
+
+    @SETTINGS
+    @given(differential_cases(max_vertices=12), st.data())
+    def check(case, data):
+        graph, k, q = case
+        expected = brute_force_vertex_sets(graph, k, q)
+        name = f"g{next(names)}"
+        client.register(name, edges=list(graph.edges()), vertices=graph.labels())
+        job = client.submit_job(name, k=k, q=q)
+        full = list(client.iter_job_results(job["id"]))
+        results = full[:-1]
+        start = data.draw(st.integers(min_value=0, max_value=len(results)), label="start")
+        resumed = list(client.iter_job_results(job["id"], start=start))
+        final, rest = resumed[-1], resumed[:-1]
+        assert final["done"] is True and final["state"] == "succeeded"
+        assert final["count"] == len(results)
+        assert results[:start] + rest == results
+        assert [record["index"] for record in rest] == list(range(start, len(results)))
+        joined = [frozenset(record["kplex"]) for record in results[:start] + rest]
+        assert len(joined) == len(set(joined))
+        assert set(joined) == expected
 
     try:
         check()

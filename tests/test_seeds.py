@@ -2,7 +2,7 @@
 
 import itertools
 
-from repro.baselines.fp import FPLike
+from repro.baselines.fp import FPLike, build_fp_seed_context
 from repro.core.config import EnumerationConfig
 from repro.core.kplex import is_kplex
 from repro.core.pruning import build_pair_matrix
@@ -82,6 +82,31 @@ def test_external_vertices_are_earlier_within_two_hops():
                 graph.neighbors(vertex) & members
             )
     assert dropped > 0
+
+
+def test_fp_external_pool_is_every_earlier_vertex_within_two_hops():
+    """The ``fp`` baseline applies no count cut to ``V'_i``."""
+    compared = 0
+    for graph in random_graph_cases(8, max_vertices=14, seed=23):
+        position = prepare(graph).position
+        for k in (1, 2, 3):
+            for q in range(max(2 * k - 1, 2), 2 * k + 3):
+                for seed in graph.vertices():
+                    for use_seed_pruning in (True, False):
+                        context = build_fp_seed_context(
+                            graph, position, seed, k, q, use_seed_pruning
+                        )
+                        if context is None:
+                            continue
+                        expected = sorted(_earlier_within_two_hops(graph, position, seed))
+                        assert context.external_vertices == expected, (seed, k, q)
+                        members = set(context.subgraph.vertices)
+                        assert context.external_adjacency == [
+                            context.subgraph.mask_of_parents(graph.neighbors(v) & members)
+                            for v in expected
+                        ]
+                        compared += 1
+    assert compared > 50
 
 
 def test_dropped_externals_extend_no_kplex_of_the_seed_subgraph():

@@ -2,9 +2,11 @@
 
 from collections import deque
 
+import pytest
+
 from repro.core.branch import BranchSearcher, BranchState
 from repro.core.config import EnumerationConfig
-from repro.core.enumerator import mine_seed
+from repro.core.enumerator import KPlexEnumerator, mine_seed
 from repro.core.kplex import is_kplex, is_maximal_kplex
 from repro.core.seeds import SubTask, build_seed_context, iter_seed_contexts, iter_subtasks
 from repro.core.stats import SearchStatistics
@@ -191,3 +193,59 @@ def test_mine_seed_costs_include_spilled_states():
             assert stats.per_seed_branch_calls == {context.seed_vertex: sum(costs)}
             runs.append((costs, sorted(found)))
         assert runs[0] == runs[1]
+
+
+# Search-tree counters of every Algorithm 3 variant on fixed generator graphs:
+# (branch_calls, maximality_rejections, outputs, branches_pruned_by_upper_bound,
+# candidates_pruned_by_pairs).  Any change to refinement, pivot choice or
+# pruning order moves at least one of them.
+PINNED_GRAPHS = {
+    "er24": (lambda: generators.erdos_renyi(24, 0.45, seed=1), 2, 5),
+    "er26": (lambda: generators.erdos_renyi(26, 0.35, seed=7), 3, 6),
+    "caveman": (lambda: generators.relaxed_caveman(4, 9, 0.4, seed=2), 2, 5),
+}
+PINNED_TREES = {
+    "er24": {
+        "ours": (792, 79, 291, 22, 243),
+        "ours_p": (819, 85, 291, 49, 232),
+        "basic": (871, 81, 291, 57, 0),
+        "basic_with_r1": (871, 81, 291, 57, 0),
+        "basic_with_r2": (808, 80, 291, 22, 243),
+        "without_upper_bound": (842, 81, 291, 0, 310),
+        "with_fp_upper_bound": (792, 79, 291, 22, 243),
+    },
+    "er26": {
+        "ours": (2185, 70, 615, 252, 524),
+        "ours_p": (2247, 79, 615, 293, 510),
+        "basic": (4416, 77, 615, 852, 0),
+        "basic_with_r1": (3150, 73, 615, 654, 0),
+        "basic_with_r2": (2493, 70, 615, 290, 550),
+        "without_upper_bound": (3169, 181, 615, 0, 1149),
+        "with_fp_upper_bound": (2185, 70, 615, 252, 524),
+    },
+    "caveman": {
+        "ours": (130, 10, 58, 19, 35),
+        "ours_p": (130, 10, 58, 19, 35),
+        "basic": (148, 10, 58, 26, 0),
+        "basic_with_r1": (148, 10, 58, 26, 0),
+        "basic_with_r2": (135, 10, 58, 19, 35),
+        "without_upper_bound": (173, 11, 58, 0, 74),
+        "with_fp_upper_bound": (130, 10, 58, 19, 35),
+    },
+}
+
+
+@pytest.mark.parametrize("graph_name", sorted(PINNED_GRAPHS))
+def test_search_tree_is_pinned(graph_name):
+    build, k, q = PINNED_GRAPHS[graph_name]
+    graph = build()
+    for variant, expected in PINNED_TREES[graph_name].items():
+        stats = KPlexEnumerator(graph, k, q, getattr(EnumerationConfig, variant)()).run().statistics
+        counters = (
+            stats.branch_calls,
+            stats.maximality_rejections,
+            stats.outputs,
+            stats.branches_pruned_by_upper_bound,
+            stats.candidates_pruned_by_pairs,
+        )
+        assert counters == expected, variant

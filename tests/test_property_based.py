@@ -5,7 +5,11 @@ suite checks the paper's structural theorems and the correctness contract of
 the enumerator against the brute-force oracle.
 """
 
+import functools
 import itertools
+import math
+from collections import Counter
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,11 +17,15 @@ from hypothesis import strategies as st
 from repro.api import EnumerationRequest, KPlexEngine
 from repro.baselines.brute_force import brute_force_vertex_sets
 from repro.core import EnumerationConfig, enumerate_maximal_kplexes, is_kplex
+from repro.core import enumerator
 from repro.core.bounds import degree_bound, support_bound
+from repro.core.branch import BranchSearcher
 from repro.core.kplex import is_maximal_kplex
 from repro.core.pruning import corollary_52_keep
 from repro.core.query import enumerate_kplexes_containing
-from repro.graph import Graph
+from repro.core.seeds import iter_seed_contexts, iter_subtasks
+from repro.core.stats import SearchStatistics
+from repro.graph import Graph, generators
 from repro.graph.bitset import mask_from_indices
 from repro.graph.core_decomposition import (
     core_decomposition,
@@ -26,7 +34,7 @@ from repro.graph.core_decomposition import (
 )
 from repro.graph.dense import DenseSubgraph
 from repro.graph.properties import is_connected_subset, subset_diameter
-from repro.jobs import JobManager
+from repro.jobs import JobManager, JobManagerConfig
 from repro.parallel import ParallelConfig, parallel_enumerate_maximal_kplexes
 from repro.server import ServiceClient, start_server
 from repro.service import KPlexService, ServiceConfig
@@ -269,6 +277,88 @@ def test_parallel_processes_match_brute_force(case):
         assert vertex_sets(result.kplexes) == expected, timeout
 
 
+class EveryThirdRead:
+    """A fake clock that reads past any deadline on every third read, else 0.
+
+    Under a timeout it spills a deterministic subset of the search nodes,
+    so spilled states include children that inherited their parent's
+    refinement, and resumed states have children that inherit theirs.
+    """
+
+    def __init__(self) -> None:
+        self.reads = 0
+
+    def __call__(self) -> float:
+        self.reads += 1
+        return math.inf if self.reads % 3 == 0 else 0.0
+
+
+def mine_every_seed(graph, k, q, config, clock=None):
+    """Mine every seed with ``mine_seed``; with a ``clock``, under a timeout read from it.
+
+    Returns the results (with repeats), each seed's per-sub-task costs and
+    the statistics.
+    """
+    stats = SearchStatistics()
+    results = []
+    costs = []
+    searcher = BranchSearcher if clock is None else functools.partial(BranchSearcher, clock=clock)
+    with mock.patch.object(enumerator, "BranchSearcher", searcher):
+        for _seed, context in iter_seed_contexts(graph, k, q, config, stats):
+            if context is None:
+                continue
+            costs.append(
+                enumerator.mine_seed(
+                    context,
+                    iter_subtasks(context, k, q, config, stats),
+                    k,
+                    q,
+                    config,
+                    stats,
+                    on_result=lambda mask, ctx=context: results.append(
+                        frozenset(ctx.subgraph.parents_of_mask(mask))
+                    ),
+                    timeout=None if clock is None else 1.0,
+                )
+            )
+    return results, costs, stats
+
+
+@st.composite
+def dense_cases(draw):
+    """Erdős–Rényi graphs of 8..14 vertices at edge probability 0.4..0.7.
+
+    Their search trees are deep enough for spilled states to carry
+    non-empty exclusive sets, which ``small_graphs`` rarely yields.
+    """
+    n = draw(st.integers(min_value=8, max_value=14))
+    probability = draw(st.sampled_from((0.4, 0.5, 0.6, 0.7)))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    k = draw(st.integers(min_value=1, max_value=3))
+    q = draw(st.integers(min_value=max(2 * k - 1, 2), max_value=k + 4))
+    return generators.erdos_renyi(n, probability, seed=seed), k, q
+
+
+@SETTINGS
+@given(dense_cases())
+def test_partial_spills_resume_exactly(case):
+    """A timeout that spills some nodes and not others changes nothing.
+
+    The spilled run finds the same k-plexes, each once, with the same
+    branch calls per sub-task and the same maximality rejections, for both
+    the ``Ours`` and the ``Ours_P`` branching.
+    """
+    graph, k, q = case
+    for config in (EnumerationConfig.ours(), EnumerationConfig.ours_p()):
+        results, costs, stats = mine_every_seed(graph, k, q, config)
+        clock = EveryThirdRead()
+        spilled, spilled_costs, spilled_stats = mine_every_seed(graph, k, q, config, clock)
+        assert Counter(spilled) == Counter(results), config
+        assert len(set(spilled)) == len(spilled)
+        assert spilled_costs == costs, config
+        assert spilled_stats.maximality_rejections == stats.maximality_rejections, config
+
+
 @SETTINGS
 @given(differential_cases(), st.data())
 def test_query_mode_matches_filtered_brute_force(case, data):
@@ -360,6 +450,49 @@ def test_job_manager_stream_matches_brute_force(case):
     assert final["done"] is True and final["state"] == "succeeded"
     assert final["count"] == len(records)
     assert label_sets(record["kplex"] for record in records) == expected
+
+
+@SETTINGS
+@given(differential_cases(max_vertices=12))
+def test_job_cancelled_mid_stream_counts_what_it_delivered(case):
+    """A job cancelled after its first record still ends its stream honestly.
+
+    The job waits behind a busy one until a second reader pins its
+    one-slot buffer, so a job with two or more results is cancelled while
+    its solver is blocked on the second.  Read to the end, the stream's
+    final record counts exactly the result records delivered; they hold no
+    duplicate, are maximal k-plexes, and are all of them when the job
+    succeeded.
+    """
+    graph, k, q = case
+    expected = brute_force_vertex_sets(graph, k, q)
+    with KPlexService(config=ServiceConfig(max_workers=1)) as service:
+        service.catalog.register("busy", generators.gnm_random(60, 400, seed=5))
+        service.catalog.register("g", graph)
+        with JobManager(service, JobManagerConfig(max_concurrent=1)) as manager:
+            blocker = manager.submit("busy", k=2, q=4)
+            job = manager.submit("g", k=k, q=q, result_buffer=1)
+            pin = job.results.attach(0)
+            manager.cancel(blocker.id)
+            records = []
+            for _index, record in job.iter_results():
+                records.append(record)
+                if len(records) == 1:
+                    manager.cancel(job.id)
+            job.results.detach(pin)
+            final = manager.wait(job.id).final_record()
+    delivered = [frozenset(record["kplex"]) for record in records]
+    assert final["done"] is True
+    assert final["count"] == len(delivered)
+    assert len(set(delivered)) == len(delivered)
+    assert set(delivered) <= expected
+    if final["state"] == "succeeded":
+        assert set(delivered) == expected
+    else:
+        assert final["state"] == "cancelled"
+    if len(expected) >= 2:
+        # The solver was blocked on its second result when the cancel came.
+        assert final["state"] == "cancelled" and len(delivered) == 1
 
 
 def test_http_solve_and_job_stream_match_brute_force():

@@ -16,19 +16,16 @@ The searcher implements both algorithm variants of the paper:
   the search instead produces the ``sup_P(v_p) + 1`` branches of
   Eq (4)–(6), the branching rule of FaPlexen / ListPlex.
 
-Lines 2–3 of Algorithm 3 (refine ``C`` and ``X`` against ``P``) are done
-once per change of ``P``, not once per node.  Every node receives ``C``,
-``X`` and the external ``X`` already refined, together with the saturated
-set of ``P`` (the members with exactly ``k`` non-neighbours in ``P``):
+Lines 2–3 of Algorithm 3 (refine ``C`` and ``X`` against ``P``) run only
+where ``P`` changes, not at every node.  Every node receives ``C``, ``X`` and
+the external ``X`` already refined against its ``P``
+(:meth:`BranchSearcher._refined`):
 
 * an exclude child (line 20, Eq (4) and Eq (5)) keeps ``P``, so it inherits
-  its parent's state unchanged — the moved vertex passed the same test;
-* an include child adds one vertex ``w`` to ``P``, so only ``w``'s
-  non-neighbours can change: they are the only members of ``P`` that can
-  become saturated and the only vertices of ``C ∪ X`` whose count in ``P``
-  can fall short (:meth:`BranchSearcher._include`);
-* a root sub-task, and a spilled :class:`BranchState` resumed by
-  :meth:`BranchSearcher.run_state`, refine everything from scratch.
+  its parent's refined sets — the moved vertex passed the same test;
+* an include child (line 19, each Eq (5)/(6) step), a root sub-task and a
+  spilled :class:`BranchState` resumed by :meth:`BranchSearcher.run_state`
+  refine against their ``P``.
 
 A *timeout* hook supports the parallel executor of Section 6: when a
 deadline is exceeded the searcher stops recursing and emits the pending
@@ -51,20 +48,16 @@ from .stats import SearchStatistics
 
 ResultCallback = Callable[[int], None]
 
-#: ``(p_mask, c_mask, x_mask, x_external, minimum_degree, saturated)`` of a
-#: node whose candidate and exclusive sets are refined against ``P``.
-NodeState = Tuple[int, int, int, int, int, int]
-
 
 @dataclass(frozen=True)
 class BranchState:
     """A frozen search node, used to hand work between workers.
 
     ``minimum_degree`` caches ``min_{u ∈ P} d_{G_i}(u)`` so the Theorem 5.3
-    bound does not need to rescan ``P`` at every node.  The saturated set of
-    ``P`` and the refinement of ``C`` and ``X`` that a child inherits from
-    its parent are not part of the record: :meth:`BranchSearcher.run_state`
-    rebuilds them, so a spilled state resumes exactly.
+    bound does not need to rescan ``P`` at every node.  Whether ``C`` and
+    ``X`` are already refined against ``P`` is not part of the record:
+    :meth:`BranchSearcher.run_state` refines them again, so a spilled state
+    resumes exactly.
     """
 
     p_mask: int
@@ -117,31 +110,18 @@ class BranchSearcher:
     def run_state(self, state: BranchState) -> None:
         """Mine a (possibly resumed) branch state, honouring the timeout.
 
-        Lines 2–3 of Algorithm 3 run here in full; the nodes below inherit
-        their refinement from their parents.
+        The state's ``C`` and ``X`` are refined against its ``P`` here; the
+        nodes below inherit or redo that refinement (see the module notes).
         """
         if self.timeout is not None:
             self._deadline = self.clock() + self.timeout
         else:
             self._deadline = None
-        adjacency = self.context.subgraph.adjacency
         p_mask = state.p_mask
-        p_size = p_mask.bit_count()
-        threshold = p_size + 1 - self.k
-        saturated = self._saturated_mask(p_mask, p_size)
         self._branch(
             p_mask,
-            self._refine(state.c_mask, adjacency, p_mask, threshold, saturated),
-            self._refine(state.x_mask, adjacency, p_mask, threshold, saturated),
-            self._refine(
-                state.x_external_mask,
-                self.context.external_adjacency,
-                p_mask,
-                threshold,
-                saturated,
-            ),
+            *self._refined(p_mask, state.c_mask, state.x_mask, state.x_external_mask),
             state.minimum_degree,
-            saturated,
         )
 
     # ------------------------------------------------------------------ #
@@ -172,56 +152,20 @@ class BranchSearcher:
                 refined |= 1 << v
         return refined
 
-    def _include(
-        self,
-        p_mask: int,
-        c_mask: int,
-        x_mask: int,
-        x_external: int,
-        minimum_degree: int,
-        saturated: int,
-        w: int,
-    ) -> NodeState:
-        """Move ``w`` into ``P`` and refine the other sets against the new ``P``.
-
-        ``c_mask``, ``x_mask`` and ``x_external`` must be refined against
-        ``p_mask``, whose saturated set is ``saturated``, and ``P ∪ {w}``
-        must be a k-plex.  Every saturated member of ``P`` is then adjacent
-        to ``w`` and stays saturated, and every vertex adjacent to ``w``
-        keeps enough neighbours in ``P``.  So the new saturated members lie
-        among ``w``'s non-neighbours in the new ``P`` (``w`` included), and
-        only ``w``'s non-neighbours in ``C ∪ X`` need their count re-tested.
-        """
-        adjacency = self.context.subgraph.adjacency
-        p_mask |= 1 << w
-        non_neighbors = ~adjacency[w]
-        target = p_mask.bit_count() - self.k
-        newly_saturated = 0
-        for u in iter_bits(p_mask & non_neighbors):
-            row = adjacency[u]
-            if (row & p_mask).bit_count() == target:
-                newly_saturated |= 1 << u
-                c_mask &= row
-                x_mask &= row
-        dropped = 0
-        for v in iter_bits((c_mask | x_mask) & non_neighbors):
-            if (adjacency[v] & p_mask).bit_count() <= target:
-                dropped |= 1 << v
-        if x_external:
-            x_external = self._refine(
-                x_external,
-                self.context.external_adjacency,
-                p_mask,
-                target + 1,
-                newly_saturated,
-            )
+    def _refined(
+        self, p_mask: int, c_mask: int, x_mask: int, x_external: int
+    ) -> Tuple[int, int, int]:
+        """Lines 2–3: keep the members of ``C``, ``X`` and the external ``X``
+        that still form a k-plex together with ``P``."""
+        context = self.context
+        adjacency = context.subgraph.adjacency
+        p_size = p_mask.bit_count()
+        threshold = p_size + 1 - self.k
+        saturated = self._saturated_mask(p_mask, p_size)
         return (
-            p_mask,
-            c_mask & ~dropped,
-            x_mask & ~dropped,
-            x_external,
-            min(minimum_degree, self.context.degrees[w]),
-            saturated | newly_saturated,
+            self._refine(c_mask, adjacency, p_mask, threshold, saturated),
+            self._refine(x_mask, adjacency, p_mask, threshold, saturated),
+            self._refine(x_external, context.external_adjacency, p_mask, threshold, saturated),
         )
 
     def _is_maximal_against(self, pc_mask: int, pc_size: int, x_mask: int, x_external: int) -> bool:
@@ -241,13 +185,7 @@ class BranchSearcher:
         return True
 
     def _recurse(
-        self,
-        p_mask: int,
-        c_mask: int,
-        x_mask: int,
-        x_external: int,
-        minimum_degree: int,
-        saturated: int,
+        self, p_mask: int, c_mask: int, x_mask: int, x_external: int, minimum_degree: int
     ) -> None:
         """Recurse into a child node, or hand it to the task sink on timeout."""
         if (
@@ -259,19 +197,13 @@ class BranchSearcher:
                 BranchState(p_mask, c_mask, x_mask, x_external, minimum_degree)
             )
             return
-        self._branch(p_mask, c_mask, x_mask, x_external, minimum_degree, saturated)
+        self._branch(p_mask, c_mask, x_mask, x_external, minimum_degree)
 
     # ------------------------------------------------------------------ #
     # Algorithm 3
     # ------------------------------------------------------------------ #
     def _branch(
-        self,
-        p_mask: int,
-        c_mask: int,
-        x_mask: int,
-        x_external: int,
-        minimum_degree: int,
-        saturated: int,
+        self, p_mask: int, c_mask: int, x_mask: int, x_external: int, minimum_degree: int
     ) -> None:
         """One node; ``C``, ``X`` and the external ``X`` are refined against ``P``."""
         context = self.context
@@ -311,7 +243,7 @@ class BranchSearcher:
         if pivot_in_p:
             if self.config.branching == BRANCHING_FAPLEXEN:
                 self._branch_faplexen(
-                    p_mask, c_mask, x_mask, x_external, minimum_degree, saturated, pivot
+                    p_mask, c_mask, x_mask, x_external, minimum_degree, pivot
                 )
                 return
             repicked = repick_pivot_from_candidates(context.subgraph, p_mask, c_mask, pivot)
@@ -346,21 +278,15 @@ class BranchSearcher:
                     stats.candidates_pruned_by_pairs += removed
                 child_c &= allowed
                 child_x &= allowed
+            child_p = p_mask | pivot_bit
             self._recurse(
-                *self._include(
-                    p_mask, child_c, child_x, x_external, minimum_degree, saturated, pivot
-                )
+                child_p,
+                *self._refined(child_p, child_c, child_x, x_external),
+                min(minimum_degree, context.degrees[pivot]),
             )
 
         # Line 20: exclude branch (always taken); P and its refinement stay.
-        self._recurse(
-            p_mask,
-            c_mask & ~pivot_bit,
-            x_mask | pivot_bit,
-            x_external,
-            minimum_degree,
-            saturated,
-        )
+        self._recurse(p_mask, c_mask & ~pivot_bit, x_mask | pivot_bit, x_external, minimum_degree)
 
     # ------------------------------------------------------------------ #
     # Ours_P: Eq (4)-(6) branching
@@ -372,7 +298,6 @@ class BranchSearcher:
         x_mask: int,
         x_external: int,
         minimum_degree: int,
-        saturated: int,
         pivot: int,
     ) -> None:
         context = self.context
@@ -386,102 +311,61 @@ class BranchSearcher:
             # handled defensively by falling back to the binary branching.
             fallback = (c_mask & -c_mask).bit_length() - 1
             fallback_bit = 1 << fallback
+            child_p = p_mask | fallback_bit
             self._recurse(
-                *self._include(
-                    p_mask,
-                    c_mask & ~fallback_bit,
-                    x_mask,
-                    x_external,
-                    minimum_degree,
-                    saturated,
-                    fallback,
-                )
+                child_p,
+                *self._refined(child_p, c_mask & ~fallback_bit, x_mask, x_external),
+                min(minimum_degree, context.degrees[fallback]),
             )
-            self._recurse(
-                p_mask,
-                c_mask & ~fallback_bit,
-                x_mask | fallback_bit,
-                x_external,
-                minimum_degree,
-                saturated,
-            )
+            self._recurse(p_mask, c_mask & ~fallback_bit, x_mask | fallback_bit, x_external, minimum_degree)
             return
         support = max(1, min(support, len(non_neighbors)))
 
         # Branch 1 (Eq (4)): exclude w_1.
-        first_bit = 1 << non_neighbors[0]
+        first = non_neighbors[0]
         self._recurse(
             p_mask,
-            c_mask & ~first_bit,
-            x_mask | first_bit,
+            c_mask & ~(1 << first),
+            x_mask | (1 << first),
             x_external,
             minimum_degree,
-            saturated,
         )
 
-        # Branches 2..support (Eq (5)) and the final branch (Eq (6)).  The
-        # node state is carried from step to step; ``pair_c``/``pair_x`` are
-        # C and X cut only by the R2 pair rows (not refined against the
-        # grown P), which is what ``candidates_pruned_by_pairs`` counts.
-        current_p, current_c, current_x = p_mask, c_mask, x_mask
-        current_external, current_min, current_saturated = x_external, minimum_degree, saturated
-        pair_c = c_mask
-        pair_x = x_mask
-        addable = True  # w_1 is in C, which is refined against P
+        # Branches 2..support (Eq (5)) and the final branch (Eq (6)).  Each
+        # step includes w_index, which the previous step (or, for w_1, this
+        # node's refinement) found to extend P; so P stays a k-plex.
+        current_p = p_mask
+        current_c = c_mask
+        current_x = x_mask
+        current_min = minimum_degree
         for index in range(1, support + 1):
-            if not addable:
-                # P ∪ {w_1..w_index} is not a k-plex; by hereditariness no
-                # later branch (which includes this set) can produce results.
-                return
             # Include w_index (1-based: w_1 .. w_support) into P.
             w = non_neighbors[index - 1]
             w_bit = 1 << w
+            current_p |= w_bit
             current_c &= ~w_bit
-            pair_c &= ~w_bit
+            current_min = min(current_min, context.degrees[w])
             if context.pair_ok is not None:
                 allowed = context.pair_ok[w]
-                removed = (pair_c & ~allowed).bit_count() + (pair_x & ~allowed).bit_count()
+                removed = (current_c & ~allowed).bit_count() + (current_x & ~allowed).bit_count()
                 if removed:
                     self.stats.candidates_pruned_by_pairs += removed
-                pair_c &= allowed
-                pair_x &= allowed
                 current_c &= allowed
                 current_x &= allowed
-            (
-                current_p,
-                current_c,
-                current_x,
-                current_external,
-                current_min,
-                current_saturated,
-            ) = self._include(
-                current_p,
-                current_c,
-                current_x,
-                current_external,
-                current_min,
-                current_saturated,
-                w,
-            )
 
             if index < support:
-                # Eq (5): exclude w_{index+1}.  It joins X only if it still
-                # extends the grown P; the same test decides whether the
-                # next step may include it.
+                # Eq (5): exclude w_{index+1}.
                 excluded = non_neighbors[index]
                 excluded_bit = 1 << excluded
-                row = adjacency[excluded]
-                addable = (row & current_p).bit_count() > current_p.bit_count() - k and (
-                    current_saturated & ~row
-                ) == 0
-                self._recurse(
-                    current_p,
-                    current_c & ~excluded_bit,
-                    current_x | excluded_bit if addable else current_x,
-                    current_external,
-                    current_min,
-                    current_saturated,
+                child_c, child_x, child_external = self._refined(
+                    current_p, current_c & ~excluded_bit, current_x | excluded_bit, x_external
                 )
+                self._recurse(current_p, child_c, child_x, child_external, current_min)
+                if not child_x & excluded_bit:
+                    # P ∪ {w_1..w_index+1} is not a k-plex; by hereditariness
+                    # no later branch (which includes this set) can produce
+                    # results.
+                    return
             else:
                 # Eq (6): include w_1..w_support and drop the remaining
                 # non-neighbours of the (now saturated) pivot from C.
@@ -490,9 +374,6 @@ class BranchSearcher:
                     remaining |= 1 << other
                 self._recurse(
                     current_p,
-                    current_c & ~remaining,
-                    current_x,
-                    current_external,
+                    *self._refined(current_p, current_c & ~remaining, current_x, x_external),
                     current_min,
-                    current_saturated,
                 )

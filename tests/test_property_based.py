@@ -8,6 +8,7 @@ the enumerator against the brute-force oracle.
 import functools
 import itertools
 import math
+import threading
 from collections import Counter
 from unittest import mock
 
@@ -457,30 +458,36 @@ def test_job_manager_stream_matches_brute_force(case):
 def test_job_cancelled_mid_stream_counts_what_it_delivered(case):
     """A job cancelled after its first record still ends its stream honestly.
 
-    The job waits behind a busy one until a second reader pins its
-    one-slot buffer, so a job with two or more results is cancelled while
-    its solver is blocked on the second.  Read to the end, the stream's
-    final record counts exactly the result records delivered; they hold no
+    The job's solve is held until a second reader pins its one-slot
+    buffer, so a job with two or more results is cancelled while its
+    solver is blocked on the second.  Read to the end, the stream's final
+    record counts exactly the result records delivered; they hold no
     duplicate, are maximal k-plexes, and are all of them when the job
     succeeded.
     """
     graph, k, q = case
     expected = brute_force_vertex_sets(graph, k, q)
     with KPlexService(config=ServiceConfig(max_workers=1)) as service:
-        service.catalog.register("busy", generators.gnm_random(60, 400, seed=5))
         service.catalog.register("g", graph)
-        with JobManager(service, JobManagerConfig(max_concurrent=1)) as manager:
-            blocker = manager.submit("busy", k=2, q=4)
-            job = manager.submit("g", k=k, q=q, result_buffer=1)
-            pin = job.results.attach(0)
-            manager.cancel(blocker.id)
-            records = []
-            for _index, record in job.iter_results():
-                records.append(record)
-                if len(records) == 1:
-                    manager.cancel(job.id)
-            job.results.detach(pin)
-            final = manager.wait(job.id).final_record()
+        released = threading.Event()
+        stream_run = service.stream_run
+
+        def stream_run_once_released(request, **kwargs):
+            released.wait()
+            return stream_run(request, **kwargs)
+
+        with mock.patch.object(service, "stream_run", stream_run_once_released):
+            with JobManager(service, JobManagerConfig(max_concurrent=1)) as manager:
+                job = manager.submit("g", k=k, q=q, result_buffer=1)
+                pin = job.results.attach(0)
+                released.set()
+                records = []
+                for _index, record in job.iter_results():
+                    records.append(record)
+                    if len(records) == 1:
+                        manager.cancel(job.id)
+                job.results.detach(pin)
+                final = manager.wait(job.id).final_record()
     delivered = [frozenset(record["kplex"]) for record in records]
     assert final["done"] is True
     assert final["count"] == len(delivered)

@@ -92,10 +92,6 @@ class StreamOutcome:
         self.run: Optional[SolverRun] = None
 
 
-#: Backwards-compatible private alias (pre-jobs-subsystem name).
-_RunOutcome = StreamOutcome
-
-
 class KPlexEngine:
     """Facade over the solver registry — the library's request/response API.
 
@@ -174,7 +170,7 @@ class KPlexEngine:
     def _stream(
         self,
         request: EnumerationRequest,
-        outcome: _RunOutcome,
+        outcome: StreamOutcome,
         cancel: Optional[CancellationToken],
         on_progress: Optional[Callable[[ProgressEvent], None]],
     ) -> Iterator[KPlex]:
@@ -242,7 +238,7 @@ class KPlexEngine:
         optional ``cancel`` token all stop the stream early; ``on_progress``
         is invoked after every yielded result.
         """
-        return self._stream(request, _RunOutcome(), cancel, on_progress)
+        return self._stream(request, StreamOutcome(), cancel, on_progress)
 
     def stream_run(
         self,
@@ -268,7 +264,7 @@ class KPlexEngine:
         on_progress: Optional[Callable[[ProgressEvent], None]] = None,
     ) -> EnumerationResponse:
         """Run a request to completion (or budget) and collect the response."""
-        outcome = _RunOutcome()
+        outcome = StreamOutcome()
         kplexes = list(self._stream(request, outcome, cancel, on_progress))
         if request.sort_results:
             kplexes.sort(key=lambda plex: (plex.size, plex.vertices))
@@ -290,7 +286,7 @@ class KPlexEngine:
         cancel: Optional[CancellationToken] = None,
     ) -> int:
         """Count results without keeping them in memory."""
-        return sum(1 for _ in self._stream(request, _RunOutcome(), cancel, None))
+        return sum(1 for _ in self._stream(request, StreamOutcome(), cancel, None))
 
     def solve_batch(
         self,

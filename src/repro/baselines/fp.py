@@ -145,14 +145,7 @@ class FPLike:
             found: List[KPlex] = []
             (calls,) = mine_seed(
                 context,
-                [
-                    SubTask(
-                        p_mask=1,
-                        c_mask=context.candidate_mask,
-                        x_mask=0,
-                        x_external_mask=(1 << len(context.external_vertices)) - 1,
-                    )
-                ],
+                [SubTask(p_mask=1, c_mask=context.candidate_mask, x_mask=0)],
                 self.k,
                 self.q,
                 self.config,

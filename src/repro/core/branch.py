@@ -1,10 +1,14 @@
 """Branch-and-bound search over one seed subgraph (Algorithm 3).
 
 :class:`BranchSearcher` mines one sub-task ``⟨P, C, X⟩`` at a time.  All sets
-are bitsets over the local index space of the seed subgraph, except the
-*external* part of the exclusive set (vertices preceding the seed in the
-degeneracy ordering) which is a bitset over
-``SeedContext.external_vertices``.
+are bitsets over the local index space of the seed subgraph.  The seed's
+external vertices (those preceding it in the degeneracy ordering,
+``SeedContext.external_vertices``) are not part of a node: they matter only to
+maximality, so the leaves of lines 4–6 and 11–14 test their set against every
+row of ``SeedContext.external_adjacency``.  k-plexes are hereditary, so an
+external vertex that extends a leaf's ``P`` also extended every ancestor's
+``P``; carrying and refining the external set down the tree would give the
+same verdict.
 
 The searcher implements both algorithm variants of the paper:
 
@@ -17,9 +21,8 @@ The searcher implements both algorithm variants of the paper:
   Eq (4)–(6), the branching rule of FaPlexen / ListPlex.
 
 Lines 2–3 of Algorithm 3 (refine ``C`` and ``X`` against ``P``) run only
-where ``P`` changes, not at every node.  Every node receives ``C``, ``X`` and
-the external ``X`` already refined against its ``P``
-(:meth:`BranchSearcher._refined`):
+where ``P`` changes, not at every node.  Every node receives ``C`` and ``X``
+already refined against its ``P`` (:meth:`BranchSearcher._refined`):
 
 * an exclude child (line 20, Eq (4) and Eq (5)) keeps ``P``, so it inherits
   its parent's refined sets — the moved vertex passed the same test;
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, List, Optional, Tuple
 
 from ..graph.bitset import bits_to_list, iter_bits
@@ -63,7 +67,6 @@ class BranchState:
     p_mask: int
     c_mask: int
     x_mask: int
-    x_external_mask: int
     minimum_degree: int
 
 
@@ -102,7 +105,6 @@ class BranchSearcher:
             p_mask=task.p_mask,
             c_mask=task.c_mask,
             x_mask=task.x_mask,
-            x_external_mask=task.x_external_mask,
             minimum_degree=self._minimum_degree(task.p_mask),
         )
         self.run_state(state)
@@ -120,7 +122,7 @@ class BranchSearcher:
         p_mask = state.p_mask
         self._branch(
             p_mask,
-            *self._refined(p_mask, state.c_mask, state.x_mask, state.x_external_mask),
+            *self._refined(p_mask, state.c_mask, state.x_mask),
             state.minimum_degree,
         )
 
@@ -152,60 +154,46 @@ class BranchSearcher:
                 refined |= 1 << v
         return refined
 
-    def _refined(
-        self, p_mask: int, c_mask: int, x_mask: int, x_external: int
-    ) -> Tuple[int, int, int]:
-        """Lines 2–3: keep the members of ``C``, ``X`` and the external ``X``
-        that still form a k-plex together with ``P``."""
-        context = self.context
-        adjacency = context.subgraph.adjacency
+    def _refined(self, p_mask: int, c_mask: int, x_mask: int) -> Tuple[int, int]:
+        """Lines 2–3: keep the members of ``C`` and ``X`` that still form a
+        k-plex together with ``P``."""
+        adjacency = self.context.subgraph.adjacency
         p_size = p_mask.bit_count()
         threshold = p_size + 1 - self.k
         saturated = self._saturated_mask(p_mask, p_size)
         return (
             self._refine(c_mask, adjacency, p_mask, threshold, saturated),
             self._refine(x_mask, adjacency, p_mask, threshold, saturated),
-            self._refine(x_external, context.external_adjacency, p_mask, threshold, saturated),
         )
 
-    def _is_maximal_against(self, pc_mask: int, pc_size: int, x_mask: int, x_external: int) -> bool:
-        """Return ``True`` when no exclusive vertex can extend ``pc_mask``."""
-        adjacency = self.context.subgraph.adjacency
+    def _is_maximal_against(self, pc_mask: int, pc_size: int, x_mask: int) -> bool:
+        """Return ``True`` when no vertex of the local ``X`` and no external
+        vertex of the seed can extend ``pc_mask``."""
+        context = self.context
         threshold = pc_size + 1 - self.k
         saturated = self._saturated_mask(pc_mask, pc_size)
-        for v in iter_bits(x_mask):
-            row = adjacency[v]
-            if (row & pc_mask).bit_count() >= threshold and (saturated & ~row) == 0:
-                return False
-        external_rows = self.context.external_adjacency
-        for index in iter_bits(x_external):
-            row = external_rows[index]
+        local_rows = (context.subgraph.adjacency[v] for v in iter_bits(x_mask))
+        for row in chain(local_rows, context.external_adjacency):
             if (row & pc_mask).bit_count() >= threshold and (saturated & ~row) == 0:
                 return False
         return True
 
-    def _recurse(
-        self, p_mask: int, c_mask: int, x_mask: int, x_external: int, minimum_degree: int
-    ) -> None:
+    def _recurse(self, p_mask: int, c_mask: int, x_mask: int, minimum_degree: int) -> None:
         """Recurse into a child node, or hand it to the task sink on timeout."""
         if (
             self._deadline is not None
             and self.task_sink is not None
             and self.clock() >= self._deadline
         ):
-            self.task_sink(
-                BranchState(p_mask, c_mask, x_mask, x_external, minimum_degree)
-            )
+            self.task_sink(BranchState(p_mask, c_mask, x_mask, minimum_degree))
             return
-        self._branch(p_mask, c_mask, x_mask, x_external, minimum_degree)
+        self._branch(p_mask, c_mask, x_mask, minimum_degree)
 
     # ------------------------------------------------------------------ #
     # Algorithm 3
     # ------------------------------------------------------------------ #
-    def _branch(
-        self, p_mask: int, c_mask: int, x_mask: int, x_external: int, minimum_degree: int
-    ) -> None:
-        """One node; ``C``, ``X`` and the external ``X`` are refined against ``P``."""
+    def _branch(self, p_mask: int, c_mask: int, x_mask: int, minimum_degree: int) -> None:
+        """One node; ``C`` and ``X`` are refined against ``P``."""
         context = self.context
         stats = self.stats
         stats.branch_calls += 1
@@ -214,9 +202,10 @@ class BranchSearcher:
         q = self.q
         p_size = p_mask.bit_count()
 
-        # Lines 4-6: no candidate left.
+        # Lines 4-6: no candidate left.  Every member of the refined X extends
+        # P, so only an empty X sends the seed's external vertices to the test.
         if c_mask == 0:
-            if x_mask == 0 and x_external == 0:
+            if x_mask == 0 and self._is_maximal_against(p_mask, p_size, 0):
                 if p_size >= q:
                     self.on_result(p_mask)
                     stats.outputs += 1
@@ -232,7 +221,7 @@ class BranchSearcher:
         if pivot_degree_pc >= pc_size - k:
             pc_mask = p_mask | c_mask
             if pc_size >= q:
-                if self._is_maximal_against(pc_mask, pc_size, x_mask, x_external):
+                if self._is_maximal_against(pc_mask, pc_size, x_mask):
                     self.on_result(pc_mask)
                     stats.outputs += 1
                 else:
@@ -242,9 +231,7 @@ class BranchSearcher:
         # Lines 15-16 / Ours_P branching.
         if pivot_in_p:
             if self.config.branching == BRANCHING_FAPLEXEN:
-                self._branch_faplexen(
-                    p_mask, c_mask, x_mask, x_external, minimum_degree, pivot
-                )
+                self._branch_faplexen(p_mask, c_mask, x_mask, minimum_degree, pivot)
                 return
             repicked = repick_pivot_from_candidates(context.subgraph, p_mask, c_mask, pivot)
             if repicked is None:
@@ -281,12 +268,12 @@ class BranchSearcher:
             child_p = p_mask | pivot_bit
             self._recurse(
                 child_p,
-                *self._refined(child_p, child_c, child_x, x_external),
+                *self._refined(child_p, child_c, child_x),
                 min(minimum_degree, context.degrees[pivot]),
             )
 
         # Line 20: exclude branch (always taken); P and its refinement stay.
-        self._recurse(p_mask, c_mask & ~pivot_bit, x_mask | pivot_bit, x_external, minimum_degree)
+        self._recurse(p_mask, c_mask & ~pivot_bit, x_mask | pivot_bit, minimum_degree)
 
     # ------------------------------------------------------------------ #
     # Ours_P: Eq (4)-(6) branching
@@ -296,7 +283,6 @@ class BranchSearcher:
         p_mask: int,
         c_mask: int,
         x_mask: int,
-        x_external: int,
         minimum_degree: int,
         pivot: int,
     ) -> None:
@@ -314,22 +300,16 @@ class BranchSearcher:
             child_p = p_mask | fallback_bit
             self._recurse(
                 child_p,
-                *self._refined(child_p, c_mask & ~fallback_bit, x_mask, x_external),
+                *self._refined(child_p, c_mask & ~fallback_bit, x_mask),
                 min(minimum_degree, context.degrees[fallback]),
             )
-            self._recurse(p_mask, c_mask & ~fallback_bit, x_mask | fallback_bit, x_external, minimum_degree)
+            self._recurse(p_mask, c_mask & ~fallback_bit, x_mask | fallback_bit, minimum_degree)
             return
         support = max(1, min(support, len(non_neighbors)))
 
         # Branch 1 (Eq (4)): exclude w_1.
         first = non_neighbors[0]
-        self._recurse(
-            p_mask,
-            c_mask & ~(1 << first),
-            x_mask | (1 << first),
-            x_external,
-            minimum_degree,
-        )
+        self._recurse(p_mask, c_mask & ~(1 << first), x_mask | (1 << first), minimum_degree)
 
         # Branches 2..support (Eq (5)) and the final branch (Eq (6)).  Each
         # step includes w_index, which the previous step (or, for w_1, this
@@ -357,10 +337,10 @@ class BranchSearcher:
                 # Eq (5): exclude w_{index+1}.
                 excluded = non_neighbors[index]
                 excluded_bit = 1 << excluded
-                child_c, child_x, child_external = self._refined(
-                    current_p, current_c & ~excluded_bit, current_x | excluded_bit, x_external
+                child_c, child_x = self._refined(
+                    current_p, current_c & ~excluded_bit, current_x | excluded_bit
                 )
-                self._recurse(current_p, child_c, child_x, child_external, current_min)
+                self._recurse(current_p, child_c, child_x, current_min)
                 if not child_x & excluded_bit:
                     # P ∪ {w_1..w_index+1} is not a k-plex; by hereditariness
                     # no later branch (which includes this set) can produce
@@ -374,6 +354,6 @@ class BranchSearcher:
                     remaining |= 1 << other
                 self._recurse(
                     current_p,
-                    *self._refined(current_p, current_c & ~remaining, current_x, x_external),
+                    *self._refined(current_p, current_c & ~remaining, current_x),
                     current_min,
                 )

@@ -41,7 +41,6 @@ class EnumerationConfig:
     use_seed_upper_bound: bool = True
     use_pair_pruning: bool = True
     use_seed_pruning: bool = True
-    sort_results: bool = True
 
     def __post_init__(self) -> None:
         if self.branching not in _VALID_BRANCHING:

@@ -225,9 +225,7 @@ class KPlexEnumerator:
 
     def run(self) -> EnumerationResult:
         """Enumerate all maximal k-plexes and return the collected result."""
-        results = list(self.iter_results())
-        if self.config.sort_results:
-            results.sort(key=lambda plex: (plex.size, plex.vertices))
+        results = sorted(self.iter_results(), key=lambda plex: (plex.size, plex.vertices))
         return EnumerationResult(
             kplexes=results,
             statistics=self.statistics,
@@ -266,7 +264,6 @@ def enumerate_maximal_kplexes(
             q=q,
             solver="ours",
             config=config,
-            sort_results=config.sort_results if config is not None else True,
         )
     ).kplexes
 

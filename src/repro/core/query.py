@@ -93,7 +93,7 @@ def enumerate_kplexes_containing(
     results: List[KPlex] = []
     mine_seed(
         context,
-        [SubTask(p_mask=query_mask, c_mask=candidate_mask, x_mask=0, x_external_mask=0)],
+        [SubTask(p_mask=query_mask, c_mask=candidate_mask, x_mask=0)],
         k,
         q,
         # The pair matrix is built relative to a seed-subgraph structure that

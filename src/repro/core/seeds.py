@@ -7,9 +7,10 @@ shrinks it with Corollary 5.2, and splits the work under ``v_i`` into
 independent sub-tasks ``T_{ {v_i} ∪ S }`` — one per subset ``S`` of the
 seed's non-neighbours in ``G_i`` with ``|S| <= k - 1``.  Each sub-task is a
 ``⟨P, C, X⟩`` triple ready to be mined by the branch-and-bound search of
-Algorithm 3; the exclusive set ``X`` carries both the seed subgraph vertices
-excluded from ``S`` and the *external* vertices that precede ``v_i`` in the
-ordering but could still witness non-maximality.
+Algorithm 3; the exclusive set ``X`` holds the seed subgraph vertices
+excluded from ``S``.  The *external* vertices, which precede ``v_i`` in the
+ordering but could still witness non-maximality, stay on the
+:class:`SeedContext`: Algorithm 3 tests a result against them at output.
 
 A kept seed's ``G_i`` is built from neighbour counts, not from a two-hop
 sweep.  Both thresholds of Corollary 5.2 count only the seed's kept
@@ -117,12 +118,6 @@ class SubTask:
     p_mask: int
     c_mask: int
     x_mask: int
-    x_external_mask: int
-
-    def describe(self, context: SeedContext) -> str:
-        """Human-readable description used in logs and straggler reports."""
-        members = context.subgraph.parents_of_mask(self.p_mask)
-        return f"seed={context.seed_vertex} P={members}"
 
 
 def seed_subgraph_vertices(
@@ -289,13 +284,7 @@ def iter_subtasks(
                 if stats is not None:
                     stats.subtasks_pruned_by_seed_bound += 1
                 return None
-        x_mask = context.two_hop_mask & ~s_mask
-        return SubTask(
-            p_mask=p_mask,
-            c_mask=c_mask,
-            x_mask=x_mask,
-            x_external_mask=(1 << len(context.external_vertices)) - 1,
-        )
+        return SubTask(p_mask=p_mask, c_mask=c_mask, x_mask=context.two_hop_mask & ~s_mask)
 
     def recurse(
         s_mask: int, start: int, c_mask: int, extension_mask: int

@@ -556,6 +556,3 @@ class JobManager:
                 termination=outcome.termination,
                 elapsed_seconds=outcome.elapsed_seconds,
             )
-            # Jobs stream past the result cache, so a finished job is always
-            # freshly computed work — worth warming peers with.
-            self.service.notify_warm_spec(job.request, "job")

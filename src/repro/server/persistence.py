@@ -405,7 +405,10 @@ def _replay_request(service: KPlexService, spec: Dict[str, object]):
     if spec.get("variant") is not None:
         kwargs["variant"] = spec["variant"]
     elif spec.get("config") is not None:
-        kwargs["config"] = EnumerationConfig(**spec["config"])
+        # Snapshots of older builds store a since-removed ``sort_results``
+        # field; request-level sorting is the top-level "sort_results" key.
+        config = {key: value for key, value in spec["config"].items() if key != "sort_results"}
+        kwargs["config"] = EnumerationConfig(**config)
     if spec.get("max_results") is not None:
         kwargs["max_results"] = spec["max_results"]
     if spec.get("options"):

@@ -404,13 +404,6 @@ class KPlexService:
         self._inflight: Dict[Hashable, _Inflight] = {}
         self._inflight_lock = threading.Lock()
         self._closed = False
-        #: Optional callback ``(request, source)`` fired after a cache miss
-        #: completes successfully (source ``"miss"``) or an async job
-        #: succeeds (source ``"job"``).  The HTTP layer does not use this
-        #: in-process hook directly — the cluster router warms peers from the
-        #: ``X-KPlex-Cache`` response header — but embedders (and the tests)
-        #: can observe the same signal without HTTP plumbing.
-        self.warm_spec_hook: Optional[Callable[[EnumerationRequest, str], None]] = None
 
     # ------------------------------------------------------------------ #
     # Request construction
@@ -804,26 +797,6 @@ class KPlexService:
                     if self._breaker is not None:
                         self._breaker.record_success()
 
-    def notify_warm_spec(self, request: EnumerationRequest, source: str) -> None:
-        """Fire :attr:`warm_spec_hook` for a freshly computed request spec.
-
-        Called on the cache-miss leader path and on async-job success (jobs
-        stream past the result cache, so every finished job is new work).
-        The hook is observational: any exception it raises is logged and
-        swallowed so peer warming can never fail a request.
-        """
-        hook = self.warm_spec_hook
-        if hook is None:
-            return
-        try:
-            hook(request, source)
-        except Exception as exc:  # pragma: no cover - defensive
-            log_event(
-                "warm_spec_hook_error",
-                source=source,
-                error=type(exc).__name__,
-            )
-
     def _solve_with_cache(
         self, request: EnumerationRequest
     ) -> "tuple[EnumerationResponse, str]":
@@ -853,7 +826,6 @@ class KPlexService:
                 response = self._run(request)
                 cache.store(request, response, key=key)
                 entry.response = response
-                self.notify_warm_spec(request, OUTCOME_MISS)
                 return response, OUTCOME_MISS
             except BaseException as exc:
                 entry.exception = exc

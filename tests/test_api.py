@@ -402,15 +402,6 @@ def test_fixed_config_solvers_reject_variant_override(engine, diamond):
             )
 
 
-def test_legacy_shim_honours_config_sort_flag(caveman):
-    from repro import KPlexEnumerator
-
-    config = EnumerationConfig(sort_results=False)
-    via_shim = enumerate_maximal_kplexes(caveman, 2, 5, config)
-    direct = KPlexEnumerator(caveman, 2, 5, config).run().kplexes
-    assert [p.vertices for p in via_shim] == [p.vertices for p in direct]
-
-
 def test_early_stopped_runs_still_record_elapsed_time(engine, caveman):
     for solver in ("ours", "fp"):
         response = engine.solve(

@@ -4,10 +4,12 @@ from collections import deque
 
 import pytest
 
+from repro.baselines.fp import FPLike
 from repro.core.branch import BranchSearcher, BranchState
 from repro.core.config import EnumerationConfig
 from repro.core.enumerator import KPlexEnumerator, mine_seed
 from repro.core.kplex import is_kplex, is_maximal_kplex
+from repro.core.query import enumerate_kplexes_containing
 from repro.core.seeds import SubTask, build_seed_context, iter_seed_contexts, iter_subtasks
 from repro.core.stats import SearchStatistics
 from repro.graph import generators
@@ -125,7 +127,7 @@ def test_timeout_spills_pending_states_and_preserves_results():
 
 
 def test_branch_state_is_frozen_record():
-    state = BranchState(p_mask=1, c_mask=6, x_mask=0, x_external_mask=0, minimum_degree=3)
+    state = BranchState(p_mask=1, c_mask=6, x_mask=0, minimum_degree=3)
     assert state.p_mask == 1
     assert state.minimum_degree == 3
 
@@ -149,7 +151,6 @@ def test_single_subtask_run_on_explicit_context():
             p_mask=1 << context.seed_local,
             c_mask=context.candidate_mask,
             x_mask=context.two_hop_mask,
-            x_external_mask=(1 << len(context.external_vertices)) - 1,
         )
     )
     # The complete graph has exactly one maximal clique: all six vertices.
@@ -249,3 +250,33 @@ def test_search_tree_is_pinned(graph_name):
             stats.candidates_pruned_by_pairs,
         )
         assert counters == expected, variant
+
+
+# The fp baseline's (branch_calls, maximality_rejections, outputs) on the same
+# graphs.  Its seeds carry every earlier vertex within two hops as an external
+# vertex, so these move whenever maximality against externals changes.
+PINNED_FP_TREES = {
+    "er24": (885, 50, 291),
+    "er26": (5275, 78, 615),
+    "caveman": (165, 6, 58),
+}
+
+
+@pytest.mark.parametrize("graph_name", sorted(PINNED_GRAPHS))
+def test_fp_search_tree_is_pinned(graph_name):
+    build, k, q = PINNED_GRAPHS[graph_name]
+    stats = FPLike(build(), k, q).run().statistics
+    counters = (stats.branch_calls, stats.maximality_rejections, stats.outputs)
+    assert counters == PINNED_FP_TREES[graph_name]
+
+
+def test_query_results_are_pinned():
+    build, k, q = PINNED_GRAPHS["caveman"]
+    found = enumerate_kplexes_containing(build(), [0], k, q)
+    assert [plex.vertices for plex in found] == [
+        (0, 1, 2, 4, 6), (0, 1, 2, 4, 8), (0, 1, 2, 5, 8), (0, 1, 2, 6, 27),
+        (0, 1, 2, 8, 19), (0, 1, 2, 8, 27), (0, 1, 6, 27, 29), (0, 5, 6, 14, 29),
+        (0, 9, 10, 13, 14), (0, 9, 10, 14, 29), (0, 9, 13, 14, 29),
+        (0, 10, 11, 13, 14), (0, 10, 13, 14, 15), (0, 1, 2, 5, 6, 7),
+        (0, 1, 5, 6, 28, 29),
+    ]

@@ -188,35 +188,6 @@ def test_snapshot_compaction_keeps_hottest_specs_and_reports_drops():
 
 
 # --------------------------------------------------------------------------- #
-# Warm-spec hook
-# --------------------------------------------------------------------------- #
-def test_warm_spec_hook_fires_on_miss_and_job_not_on_hit():
-    service = make_service()
-    fired = []
-    service.warm_spec_hook = lambda request, source: fired.append(
-        (request.k, request.q, source)
-    )
-    try:
-        service.catalog.register("toy", EDGES)
-        service.solve(service.request("toy", k=2, q=3))
-        assert fired == [(2, 3, "miss")]
-        service.solve(service.request("toy", k=2, q=3))  # cache hit: no event
-        assert len(fired) == 1
-
-        from repro.jobs import JobManager
-
-        manager = JobManager(service)
-        try:
-            job = manager.submit(service.request("toy", k=1, q=3))
-            manager.wait(job.id, timeout=30.0)
-            assert (1, 3, "job") in fired
-        finally:
-            manager.close()
-    finally:
-        service.close()
-
-
-# --------------------------------------------------------------------------- #
 # Client failover + replica headers
 # --------------------------------------------------------------------------- #
 @pytest.fixture()

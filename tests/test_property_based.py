@@ -254,8 +254,8 @@ def test_parallel_threads_match_brute_force(case):
     """Thread-mode ``parallel`` with 2 workers, without and with task splitting.
 
     A tiny ``timeout_seconds`` spills nearly every branch node as a
-    ``BranchState`` whose ``x_external_mask`` indexes the seed's external
-    list, so the resumed states must agree with the rebuilt context.
+    ``BranchState`` of local bitsets; a resumed state's leaves test the
+    seed's external vertices, so it must agree with the rebuilt context.
     """
     graph, k, q = case
     expected = brute_force_vertex_sets(graph, k, q)

@@ -379,6 +379,29 @@ def test_snapshot_with_legacy_seed_specs_still_warms(tmp_path):
     restarted.close()
 
 
+def test_snapshot_with_legacy_config_sort_flag_still_warms(tmp_path):
+    # Snapshots from builds whose EnumerationConfig had a sort_results field
+    # store it in every config spec; it is dropped and the request replays.
+    service = make_service()
+    service.catalog.register("toy", EDGES)
+    baseline = service.solve("toy", k=2, q=3, config=EnumerationConfig.ours())
+    document = snapshot_service(service)
+    service.close()
+    (spec,) = document["hot_requests"]
+    spec["config"]["sort_results"] = True
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(document))
+
+    restarted = make_service()
+    report = warm_start(restarted, load_snapshot(path))
+    assert report.failed == 0 and report.replayed == 1
+    before = restarted.metrics()["cache_hits"]
+    response = restarted.solve("toy", k=2, q=3, config=EnumerationConfig.ours())
+    assert restarted.metrics()["cache_hits"] == before + 1
+    assert response.vertex_sets() == baseline.vertex_sets()
+    restarted.close()
+
+
 def test_snapshot_preserves_query_and_variant_requests(tmp_path):
     path = tmp_path / "snap.json"
     service = make_service()

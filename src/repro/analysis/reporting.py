@@ -9,7 +9,7 @@ side-by-side with the paper's tables and figure data points.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 
 def format_value(value: object) -> str:

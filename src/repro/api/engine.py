@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from ..core.kplex import KPlex, validate_parameters
 from ..core.stats import SearchStatistics
@@ -34,7 +34,7 @@ from ..graph.prepared import PreparedGraph
 from ..graph.prepared import prepare as _prepare_graph
 from ..obs import start_span
 from .registry import Solver, SolverRun, get_solver, solver_names, solver_table
-from .request import DEFAULT_SOLVER, EnumerationRequest
+from .request import EnumerationRequest
 from .response import (
     TERMINATION_CANCELLED,
     TERMINATION_COMPLETED,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, Iterator, List, Optional, Tuple, Type
+from typing import Callable, ClassVar, Dict, Iterator, List, Tuple, Type
 
 from ..core.kplex import KPlex
 from ..core.stats import SearchStatistics

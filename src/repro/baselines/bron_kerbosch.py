@@ -9,7 +9,7 @@ secondary oracle for the test-suite on small and medium graphs.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set
+from typing import FrozenSet, List, Set
 
 from ..core.kplex import KPlex, can_extend, validate_parameters
 from ..core.stats import SearchStatistics

@@ -12,7 +12,7 @@ attributes to ListPlex.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, FrozenSet
+from typing import FrozenSet, List, Set
 
 from ..core.config import BRANCHING_FAPLEXEN, EnumerationConfig
 from ..core.enumerator import EnumerationResult, KPlexEnumerator

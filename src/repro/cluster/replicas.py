@@ -25,7 +25,6 @@ from __future__ import annotations
 import logging
 import os
 import subprocess
-import sys
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence

@@ -6,7 +6,9 @@ bitset representation of a seed subgraph:
 * :func:`degree_bound` — Theorem 5.3: ``min_{u ∈ P} d_{G_i}(u) + k``.
 * :func:`support_bound` — Theorem 5.5 / Algorithm 4: ``|P| + sup_P(v_p) + |K|``
   where ``K`` is the greedy packing of the pivot's candidate neighbours
-  against the remaining non-neighbour budgets (support numbers) of ``P``.
+  against the remaining non-neighbour budgets (support numbers) of ``P``;
+  :func:`packing_bound` is the same bound from the in-``P`` counts that
+  Algorithm 3's pivot census already holds.
 * :func:`seed_task_bound` — Theorem 5.7: the specialised bound for an initial
   sub-task ``P_S = {v_i} ∪ S``, used by pruning rule R1.
 
@@ -20,7 +22,7 @@ utilities.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..graph.bitset import iter_bits
 from ..graph.dense import DenseSubgraph
@@ -37,14 +39,48 @@ def degree_bound(degrees_in_subgraph: Sequence[int], members: Sequence[int], k: 
     return min(degrees_in_subgraph[u] for u in members) + k
 
 
-def _support_numbers(subgraph: DenseSubgraph, p_mask: int, k: int) -> Dict[int, int]:
-    """Return ``sup_P(u) = k - \\bar d_P(u)`` for every ``u ∈ P``."""
-    p_size = p_mask.bit_count()
-    supports: Dict[int, int] = {}
-    for u in iter_bits(p_mask):
-        non_neighbors = p_size - (subgraph.adjacency[u] & p_mask).bit_count()
-        supports[u] = k - non_neighbors
-    return supports
+def _in_p_counts(adjacency: Sequence[int], p_mask: int) -> Dict[int, int]:
+    """Return ``|N(u) ∩ P|`` for every ``u ∈ P``."""
+    return {u: (adjacency[u] & p_mask).bit_count() for u in iter_bits(p_mask)}
+
+
+def _pack(
+    adjacency: Sequence[int],
+    p_mask: int,
+    candidates: Iterable[int],
+    k: int,
+    in_p: Dict[int, int],
+) -> int:
+    """Algorithm 4: ``|K|`` for ``candidates`` packed against ``P``'s support
+    numbers ``sup_P(u) = k - |P| + in_p[u]``, where ``in_p`` maps ``u ∈ P`` to
+    ``|N(u) ∩ P|``.  Each packed candidate spends (decrements) its
+    lowest-support blocker, the first in index order on ties."""
+    floor = p_mask.bit_count() - k
+    packed = 0
+    for w in candidates:
+        blockers = p_mask & ~adjacency[w]
+        if blockers == 0:
+            packed += 1
+            continue
+        if blockers & (blockers - 1):
+            blocker = min(iter_bits(blockers), key=in_p.__getitem__)
+        else:
+            blocker = blockers.bit_length() - 1
+        if in_p[blocker] > floor:
+            in_p[blocker] -= 1
+            packed += 1
+    return packed
+
+
+def packing_bound(
+    adjacency: Sequence[int], p_mask: int, c_mask: int, pivot: int, k: int, in_p: Dict[int, int]
+) -> int:
+    """:func:`support_bound` from ``P``'s in-P counts ``in_p`` (consumed)."""
+    row = adjacency[pivot]
+    # |P| + sup_P(pivot) = k + |N(pivot) ∩ P|.
+    return k + (row & p_mask).bit_count() + _pack(
+        adjacency, p_mask, iter_bits(c_mask & row & ~(1 << pivot)), k, in_p
+    )
 
 
 def support_bound(
@@ -62,26 +98,7 @@ def support_bound(
     candidate neighbours against the support numbers of ``P``.
     """
     adjacency = subgraph.adjacency
-    p_size = p_mask.bit_count()
-    supports = _support_numbers(subgraph, p_mask, k)
-    pivot_non_neighbors = p_size - (adjacency[pivot] & p_mask).bit_count()
-    upper = p_size + (k - pivot_non_neighbors)
-    for w in iter_bits(c_mask & adjacency[pivot] & ~(1 << pivot)):
-        blockers = p_mask & ~adjacency[w]
-        if blockers == 0:
-            upper += 1
-            continue
-        minimum_vertex = -1
-        minimum_support = None
-        for u in iter_bits(blockers):
-            support = supports[u]
-            if minimum_support is None or support < minimum_support:
-                minimum_support = support
-                minimum_vertex = u
-        if minimum_support is not None and minimum_support > 0:
-            supports[minimum_vertex] = minimum_support - 1
-            upper += 1
-    return upper
+    return packing_bound(adjacency, p_mask, c_mask, pivot, k, _in_p_counts(adjacency, p_mask))
 
 
 def fp_style_bound(
@@ -102,22 +119,12 @@ def fp_style_bound(
     ablation of Table 5 measures.
     """
     adjacency = subgraph.adjacency
-    p_size = p_mask.bit_count()
-    supports = _support_numbers(subgraph, p_mask, k)
-    pivot_non_neighbors = p_size - (adjacency[pivot] & p_mask).bit_count()
-    upper = p_size + (k - pivot_non_neighbors)
-    neighbours = list(iter_bits(c_mask & adjacency[pivot] & ~(1 << pivot)))
-    neighbours.sort(key=lambda w: p_size - (adjacency[w] & p_mask).bit_count())
-    for w in neighbours:
-        blockers = p_mask & ~adjacency[w]
-        if blockers == 0:
-            upper += 1
-            continue
-        minimum_vertex = min(iter_bits(blockers), key=lambda u: supports[u])
-        if supports[minimum_vertex] > 0:
-            supports[minimum_vertex] -= 1
-            upper += 1
-    return upper
+    row = adjacency[pivot]
+    neighbours = list(iter_bits(c_mask & row & ~(1 << pivot)))
+    neighbours.sort(key=lambda w: -(adjacency[w] & p_mask).bit_count())
+    return k + (row & p_mask).bit_count() + _pack(
+        adjacency, p_mask, neighbours, k, _in_p_counts(adjacency, p_mask)
+    )
 
 
 def seed_task_bound(
@@ -137,17 +144,8 @@ def seed_task_bound(
     """
     adjacency = subgraph.adjacency
     p_size = p_mask.bit_count()
-    supports = _support_numbers(subgraph, p_mask, k)
-    packing = 0
-    for w in iter_bits(c_mask & adjacency[seed_local]):
-        blockers = p_mask & ~adjacency[w]
-        if blockers == 0:
-            packing += 1
-            continue
-        minimum_vertex = min(iter_bits(blockers), key=lambda u: supports[u])
-        if supports[minimum_vertex] > 0:
-            supports[minimum_vertex] -= 1
-            packing += 1
+    in_p = _in_p_counts(adjacency, p_mask)
+    packing = _pack(adjacency, p_mask, iter_bits(c_mask & adjacency[seed_local]), k, in_p)
     theorem_57 = p_size + packing
     theorem_53 = degree_bound(degrees_in_subgraph, list(iter_bits(p_mask)), k)
     return min(theorem_57, theorem_53)
@@ -165,12 +163,13 @@ def pairwise_bound(subgraph: DenseSubgraph, p_mask: int, c_mask: int, k: int) ->
     members: List[int] = list(iter_bits(p_mask))
     if len(members) < 2:
         return p_size + c_mask.bit_count()
-    supports = _support_numbers(subgraph, p_mask, k)
+    in_p = _in_p_counts(adjacency, p_mask)
     best = None
     for index, u in enumerate(members):
         for v in members[index + 1 :]:
             common = (adjacency[u] & adjacency[v] & c_mask).bit_count()
-            value = p_size + supports[u] + supports[v] + common
+            # |P| + sup_P(u) + sup_P(v), with sup_P(u) = k - |P| + |N(u) ∩ P|.
+            value = 2 * k - p_size + in_p[u] + in_p[v] + common
             if best is None or value < best:
                 best = value
     return best if best is not None else p_size

@@ -26,9 +26,12 @@ already refined against its ``P`` (:meth:`BranchSearcher._refined`):
 
 * an exclude child (line 20, Eq (4) and Eq (5)) keeps ``P``, so it inherits
   its parent's refined sets — the moved vertex passed the same test;
-* an include child (line 19, each Eq (5)/(6) step), a root sub-task and a
-  spilled :class:`BranchState` resumed by :meth:`BranchSearcher.run_state`
-  refine against their ``P``.
+* an include child (line 19) builds its ``C`` from the counts of the
+  parent's pivot pass (:func:`~repro.core.pivot.select_pivot`), which also
+  feed the Algorithm 4 bound and the lines 11–14 maximality test; only its
+  ``X`` is refined vertex by vertex;
+* each Eq (5)/(6) step, a root sub-task and a spilled :class:`BranchState`
+  resumed by :meth:`BranchSearcher.run_state` refine from scratch.
 
 A *timeout* hook supports the parallel executor of Section 6: when a
 deadline is exceeded the searcher stops recursing and emits the pending
@@ -44,7 +47,7 @@ from itertools import chain
 from typing import Callable, List, Optional, Tuple
 
 from ..graph.bitset import bits_to_list, iter_bits
-from .bounds import fp_style_bound, support_bound
+from .bounds import fp_style_bound, packing_bound
 from .config import BRANCHING_FAPLEXEN, UPPER_BOUND_FP, EnumerationConfig
 from .pivot import repick_pivot_from_candidates, select_pivot
 from .seeds import SeedContext, SubTask
@@ -166,12 +169,12 @@ class BranchSearcher:
             self._refine(x_mask, adjacency, p_mask, threshold, saturated),
         )
 
-    def _is_maximal_against(self, pc_mask: int, pc_size: int, x_mask: int) -> bool:
+    def _is_maximal_against(self, pc_mask: int, pc_size: int, x_mask: int, saturated: int) -> bool:
         """Return ``True`` when no vertex of the local ``X`` and no external
-        vertex of the seed can extend ``pc_mask``."""
+        vertex of the seed can extend ``pc_mask``, whose saturated members
+        are ``saturated``."""
         context = self.context
         threshold = pc_size + 1 - self.k
-        saturated = self._saturated_mask(pc_mask, pc_size)
         local_rows = (context.subgraph.adjacency[v] for v in iter_bits(x_mask))
         for row in chain(local_rows, context.external_adjacency):
             if (row & pc_mask).bit_count() >= threshold and (saturated & ~row) == 0:
@@ -195,6 +198,7 @@ class BranchSearcher:
     def _branch(self, p_mask: int, c_mask: int, x_mask: int, minimum_degree: int) -> None:
         """One node; ``C`` and ``X`` are refined against ``P``."""
         context = self.context
+        adjacency = context.subgraph.adjacency
         stats = self.stats
         stats.branch_calls += 1
 
@@ -205,7 +209,9 @@ class BranchSearcher:
         # Lines 4-6: no candidate left.  Every member of the refined X extends
         # P, so only an empty X sends the seed's external vertices to the test.
         if c_mask == 0:
-            if x_mask == 0 and self._is_maximal_against(p_mask, p_size, 0):
+            if x_mask == 0 and self._is_maximal_against(
+                p_mask, p_size, 0, self._saturated_mask(p_mask, p_size)
+            ):
                 if p_size >= q:
                     self.on_result(p_mask)
                     stats.outputs += 1
@@ -213,15 +219,17 @@ class BranchSearcher:
                 stats.maximality_rejections += 1
             return
 
-        # Lines 7-10: pivot selection.
-        pivot, pivot_in_p, pivot_degree_pc = select_pivot(context.subgraph, p_mask, c_mask)
+        # Lines 7-10: pivot selection, with the counts the rest of the node reads.
+        (
+            pivot, pivot_in_p, pivot_degree_pc, in_p, saturated, one_short, tight, pc_saturated
+        ) = select_pivot(context.subgraph, p_mask, c_mask, k)
         pc_size = p_size + c_mask.bit_count()
 
         # Lines 11-14: P ∪ C is already a k-plex.
         if pivot_degree_pc >= pc_size - k:
             pc_mask = p_mask | c_mask
             if pc_size >= q:
-                if self._is_maximal_against(pc_mask, pc_size, x_mask):
+                if self._is_maximal_against(pc_mask, pc_size, x_mask, pc_saturated):
                     self.on_result(pc_mask)
                     stats.outputs += 1
                 else:
@@ -247,11 +255,11 @@ class BranchSearcher:
         include_allowed = True
         if self.config.use_upper_bound and q > 0:
             if self.config.upper_bound_method == UPPER_BOUND_FP:
-                packing_bound = fp_style_bound(context.subgraph, p_mask, c_mask, pivot, k)
+                bound = fp_style_bound(context.subgraph, p_mask, c_mask, pivot, k)
             else:
-                packing_bound = support_bound(context.subgraph, p_mask, c_mask, pivot, k)
+                bound = packing_bound(adjacency, p_mask, c_mask, pivot, k, in_p)
             degree_bound_value = min(minimum_degree, context.degrees[pivot]) + k
-            if min(packing_bound, degree_bound_value) < q:
+            if min(bound, degree_bound_value) < q:
                 include_allowed = False
                 stats.branches_pruned_by_upper_bound += 1
 
@@ -265,10 +273,20 @@ class BranchSearcher:
                     stats.candidates_pruned_by_pairs += removed
                 child_c &= allowed
                 child_x &= allowed
+            # Lines 2-3 for P ∪ {pivot}: drop the tight candidates the pivot
+            # misses, then the non-neighbours of each member it saturates
+            # (the one-short members of P it misses, and itself if tight).
+            row = adjacency[pivot]
+            child_c &= ~(tight & ~row)
+            newly_saturated = (one_short & ~row) | (tight & pivot_bit)
+            for u in iter_bits(newly_saturated):
+                child_c &= adjacency[u]
             child_p = p_mask | pivot_bit
+            saturated |= newly_saturated
             self._recurse(
                 child_p,
-                *self._refined(child_p, child_c, child_x),
+                child_c,
+                self._refine(child_x, adjacency, child_p, p_size + 2 - k, saturated),
                 min(minimum_degree, context.degrees[pivot]),
             )
 

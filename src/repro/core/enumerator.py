@@ -29,7 +29,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import ParameterError
 from ..graph import Graph
 from ..graph.prepared import prepare
 from ..obs import start_span

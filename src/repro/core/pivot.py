@@ -7,56 +7,85 @@ future candidate to be adjacent to them and therefore shrink the candidate
 set the fastest.  When the chosen pivot already belongs to ``P`` the search
 re-picks, with the same rules, a pivot among the non-neighbours of the old
 pivot inside ``C`` — that candidate vertex is the one actually branched on.
+
+The pass that picks the pivot reads ``|N(v) ∩ P|`` and ``|N(v) ∩ (P ∪ C)|``
+for every ``v ∈ P ∪ C``; :func:`select_pivot` returns what the node needs.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..graph.bitset import iter_bits
 from ..graph.dense import DenseSubgraph
 
 
 def select_pivot(
-    subgraph: DenseSubgraph, p_mask: int, c_mask: int
-) -> Tuple[int, bool, int]:
-    """Select the pivot from ``P ∪ C`` following Algorithm 3 lines 7–10.
+    subgraph: DenseSubgraph, p_mask: int, c_mask: int, k: int
+) -> Tuple[int, bool, int, Dict[int, int], int, int, int, int]:
+    """Select the pivot from a non-empty ``P ∪ C`` (Algorithm 3 lines 7–10).
 
-    Returns ``(pivot, pivot_in_p, degree_in_pc)`` where ``degree_in_pc`` is
-    the pivot's degree inside ``G[P ∪ C]`` (needed for the early "``P ∪ C`` is
-    already a k-plex" test on line 11).  Ties on both criteria are broken by
-    the smallest local index so the search is deterministic.
+    The pivot minimises ``(degree in G[P ∪ C], |N(v) ∩ P|)``; a full tie
+    prefers a member of ``P`` (line 9), then the smallest local index, so the
+    search is deterministic.  Returns ``(pivot, pivot_in_p, degree, in_p,
+    saturated, one_short, tight, pc_saturated)``: the pivot's degree in
+    ``G[P ∪ C]`` (line 11's k-plex test), ``|N(u) ∩ P|`` for each ``u ∈ P``,
+    the members of ``P`` with ``k`` and with ``k − 1`` non-neighbours in
+    ``P``, the members of ``C`` with exactly ``|P| + 1 − k`` neighbours in
+    ``P``, and the members of ``P ∪ C`` with ``|P ∪ C| − k`` neighbours in it.
     """
     adjacency = subgraph.adjacency
     pc_mask = p_mask | c_mask
     p_size = p_mask.bit_count()
-
-    best_vertex = -1
-    best_degree = None
-    best_non_neighbors = -1
-    best_in_p = False
-    for vertex in iter_bits(pc_mask):
-        degree = (adjacency[vertex] & pc_mask).bit_count()
-        non_neighbors = p_size - (adjacency[vertex] & p_mask).bit_count()
-        in_p = (p_mask >> vertex) & 1 == 1
-        if best_degree is None or degree < best_degree:
-            better = True
-        elif degree == best_degree:
-            if non_neighbors > best_non_neighbors:
-                better = True
-            elif non_neighbors == best_non_neighbors:
-                # Prefer a pivot inside P (line 9 of Algorithm 3).
-                better = in_p and not best_in_p
-            else:
-                better = False
-        else:
-            better = False
-        if better:
-            best_vertex = vertex
-            best_degree = degree
-            best_non_neighbors = non_neighbors
-            best_in_p = in_p
-    return best_vertex, best_in_p, best_degree if best_degree is not None else 0
+    pc_size = pc_mask.bit_count()
+    saturated_count = p_size - k
+    short_count = saturated_count + 1  # one-short in P, tight in C
+    pc_saturated_degree = pc_size - k
+    # The key (degree, in-P count) packed into one integer.  P is scanned
+    # before C and only a strictly smaller key wins: that is the tie order.
+    stride = p_size + 1
+    best_key = pc_size * stride
+    best = -1
+    in_p: Dict[int, int] = {}
+    saturated = one_short = tight = pc_saturated = 0
+    # The bit loops are inlined: this is the search's hottest code.
+    mask = p_mask
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        u = low.bit_length() - 1
+        row = adjacency[u]
+        count = (row & p_mask).bit_count()
+        degree = (row & pc_mask).bit_count()
+        in_p[u] = count
+        if count == saturated_count:
+            saturated |= low
+        elif count == short_count:
+            one_short |= low
+        if degree == pc_saturated_degree:
+            pc_saturated |= low
+        key = degree * stride + count
+        if key < best_key:
+            best_key = key
+            best = u
+    pivot_in_p = best >= 0
+    mask = c_mask
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        row = adjacency[low.bit_length() - 1]
+        count = (row & p_mask).bit_count()
+        degree = (row & pc_mask).bit_count()
+        if count == short_count:
+            tight |= low
+        if degree == pc_saturated_degree:
+            pc_saturated |= low
+        key = degree * stride + count
+        if key < best_key:
+            best_key = key
+            best = low.bit_length() - 1
+            pivot_in_p = False
+    return best, pivot_in_p, best_key // stride, in_p, saturated, one_short, tight, pc_saturated
 
 
 def repick_pivot_from_candidates(
@@ -74,14 +103,8 @@ def repick_pivot_from_candidates(
     if pool == 0:
         return None
     pc_mask = p_mask | c_mask
-    p_size = p_mask.bit_count()
-    best_vertex = None
-    best_key = None
-    for vertex in iter_bits(pool):
-        degree = (adjacency[vertex] & pc_mask).bit_count()
-        non_neighbors = p_size - (adjacency[vertex] & p_mask).bit_count()
-        key = (degree, -non_neighbors, vertex)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_vertex = vertex
-    return best_vertex
+    # min() keeps the first, so the smallest index, of equal keys.
+    return min(
+        iter_bits(pool),
+        key=lambda v: ((adjacency[v] & pc_mask).bit_count(), (adjacency[v] & p_mask).bit_count()),
+    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..analysis.reporting import render_table
-from ..datasets import all_datasets, get_dataset
+from ..datasets import all_datasets
 from ..graph.properties import summarize
 from .parallel_model import best_timeout, measure_parallel_workload
 from .runner import (
@@ -22,7 +22,6 @@ from .runner import (
     PRUNING_ABLATION,
     SEQUENTIAL_ALGORITHMS,
     UPPER_BOUND_ABLATION,
-    RunRecord,
     run_algorithm,
 )
 from .workloads import (

@@ -1,5 +1,5 @@
 """Built-in checks — importing this package performs all registrations."""
 
-from . import contracts, determinism, exceptions, locks  # noqa: F401
+from . import contracts, determinism, exceptions, imports, locks  # noqa: F401
 
-__all__ = ["contracts", "determinism", "exceptions", "locks"]
+__all__ = ["contracts", "determinism", "exceptions", "imports", "locks"]

@@ -12,7 +12,7 @@ These encode two invariants PRs 3–9 established by convention:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..finding import Finding
 from ..model import Project, SourceModule

@@ -15,7 +15,7 @@ from .analyzer import analyze
 from .baseline import BASELINE_NAME, load_baseline, write_baseline
 from .model import find_repo_root
 from .registry import check_table, get_check
-from .reporters import render_json, render_text, summary_line
+from .reporters import render_json, render_text
 
 __all__ = ["add_lint_arguments", "build_parser", "main", "run_lint"]
 

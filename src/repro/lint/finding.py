@@ -14,7 +14,7 @@ unrelated edits that shift code up or down.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 __all__ = ["Finding"]

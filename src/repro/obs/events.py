@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import logging
 import sys
-import time
 from typing import Any, IO, Optional
 
 from .trace import current_trace

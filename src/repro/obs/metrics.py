@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_TIME_BUCKETS",

@@ -6,7 +6,6 @@ cluster exercises the real topology end to end — registration fan-out,
 ring routing, peer warming, merged metrics, SIGKILL failover, drain.
 """
 
-import json
 import os
 import signal
 import subprocess

@@ -13,7 +13,6 @@ import pytest
 
 from repro.api import EnumerationRequest, KPlexEngine
 from repro.core import EnumerationConfig
-from repro.core.stats import SearchStatistics
 from repro.graph import (
     Graph,
     core_decomposition,

@@ -647,6 +647,71 @@ class TestSwallowedException:
 
 
 # --------------------------------------------------------------------------- #
+# unused-import
+# --------------------------------------------------------------------------- #
+class TestUnusedImport:
+    def test_positive_unread_import(self):
+        findings = run_on(
+            """
+            import json
+            import os.path
+            from typing import List, Optional
+
+            def root(parts: List[str]) -> str:
+                return os.path.join(*parts)
+            """
+        )
+        hits = [f for f in findings if f.check == "unused-import"]
+        assert sorted(f.subject for f in hits) == ["Optional", "json"]
+
+    def test_negative_init_reexport(self):
+        findings = run_on({"src/repro/pkg/__init__.py": "from .engine import Engine\n"})
+        assert "unused-import" not in checks_of(findings)
+
+    def test_negative_listed_in_all(self):
+        findings = run_on(
+            """
+            from .engine import Engine
+
+            __all__ = ["Engine"]
+            """
+        )
+        assert "unused-import" not in checks_of(findings)
+
+    def test_negative_string_annotation(self):
+        findings = run_on(
+            """
+            from typing import Optional
+            from .graph import Graph
+
+            def load(path) -> "Optional[Graph]":
+                return None
+            """
+        )
+        assert "unused-import" not in checks_of(findings)
+
+    def test_negative_noqa_f401(self):
+        findings = run_on(
+            """
+            from . import checks  # noqa: F401  (registers the built-ins)
+            from .plugins import (  # noqa: F401
+                extra,
+            )
+            """
+        )
+        assert "unused-import" not in checks_of(findings)
+
+    def test_negative_import_inside_function(self):
+        findings = run_on(
+            """
+            def lazy():
+                import json
+            """
+        )
+        assert "unused-import" not in checks_of(findings)
+
+
+# --------------------------------------------------------------------------- #
 # Registry / framework plumbing
 # --------------------------------------------------------------------------- #
 class TestRegistry:
@@ -660,6 +725,7 @@ class TestRegistry:
             "resource-cleanup",
             "nondeterminism-in-solver",
             "swallowed-exception",
+            "unused-import",
         ):
             assert expected in names
 

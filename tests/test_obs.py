@@ -24,7 +24,6 @@ from repro.obs import (
     current_trace,
     escape_label_value,
     log_event,
-    new_request_id,
     remove_event_handler,
     span,
     span_record,

@@ -33,7 +33,7 @@ def test_example_41_initial_pivot_is_v3():
     _, dense = _figure3_subgraph()
     p_mask = mask_from_indices([0, 2])  # v1, v3
     c_mask = mask_from_indices([1, 4, 6])  # v2, v5, v7
-    pivot, in_p, degree = select_pivot(dense, p_mask, c_mask)
+    pivot, in_p, degree, *_ = select_pivot(dense, p_mask, c_mask, k=2)
     assert pivot == 2  # v3
     assert in_p
     assert degree == 1  # v3 touches only v2 inside P ∪ C
@@ -62,7 +62,7 @@ def test_select_pivot_prefers_most_saturated_on_ties():
     dense = DenseSubgraph(graph, list(range(4)))
     p_mask = mask_from_indices([0, 1])
     c_mask = mask_from_indices([2, 3])
-    pivot, in_p, _ = select_pivot(dense, p_mask, c_mask)
+    pivot, in_p, *_ = select_pivot(dense, p_mask, c_mask, k=2)
     # Leaves 1, 2, 3 all have degree 1 in P ∪ C; vertex 1 ∈ P has the most
     # non-neighbours in P among them, so a P-member is selected.
     assert in_p
@@ -74,7 +74,7 @@ def test_select_pivot_minimum_degree_rule():
     dense = DenseSubgraph(graph, list(range(4)))
     p_mask = mask_from_indices([1])
     c_mask = mask_from_indices([0, 2, 3])
-    pivot, _, degree = select_pivot(dense, p_mask, c_mask)
+    pivot, _, degree, *_ = select_pivot(dense, p_mask, c_mask, k=2)
     assert degree == 1
     assert pivot in (0, 3)
 

@@ -18,16 +18,17 @@ from hypothesis import strategies as st
 from repro.api import EnumerationRequest, KPlexEngine
 from repro.baselines.brute_force import brute_force_vertex_sets
 from repro.core import EnumerationConfig, enumerate_maximal_kplexes, is_kplex
-from repro.core import enumerator
-from repro.core.bounds import degree_bound, support_bound
+from repro.core import branch, enumerator
+from repro.core.bounds import degree_bound, packing_bound, support_bound
 from repro.core.branch import BranchSearcher
 from repro.core.kplex import is_maximal_kplex
+from repro.core.pivot import select_pivot
 from repro.core.pruning import corollary_52_keep
 from repro.core.query import enumerate_kplexes_containing
-from repro.core.seeds import iter_seed_contexts, iter_subtasks
+from repro.core.seeds import SeedContext, iter_seed_contexts, iter_subtasks
 from repro.core.stats import SearchStatistics
 from repro.graph import Graph, generators
-from repro.graph.bitset import mask_from_indices
+from repro.graph.bitset import iter_bits, mask_from_indices
 from repro.graph.core_decomposition import (
     core_decomposition,
     k_core_vertices,
@@ -195,6 +196,103 @@ def test_variants_agree(case):
     ):
         variant = {frozenset(p.vertices) for p in enumerate_maximal_kplexes(graph, k, q, config)}
         assert variant == reference
+
+
+@st.composite
+def refined_nodes(draw):
+    """A searcher and one Algorithm 3 node ``⟨P, C, X⟩`` on an Erdős–Rényi
+    graph, k = 1..4: ``P`` is a k-plex and ``C``, ``X`` are refined against it.
+
+    The graphs are dense enough, and ``P`` and ``C`` drawn often enough, that
+    about a third of the nodes are not leaves.
+    """
+    n = draw(st.integers(min_value=8, max_value=14))
+    probability = draw(st.sampled_from((0.4, 0.5, 0.6, 0.7)))
+    graph = generators.erdos_renyi(n, probability, seed=draw(st.integers(0, 2**16)))
+    k = draw(st.integers(min_value=1, max_value=4))
+    dense = DenseSubgraph(graph, list(graph.vertices()))
+    roles = draw(st.lists(st.sampled_from("PPCCX-"), min_size=n, max_size=n))
+    members = []
+    for v, role in enumerate(roles):
+        if role == "P" and is_kplex(graph, members + [v], k):
+            members.append(v)
+    p_mask = mask_from_indices(members)
+    c_mask = mask_from_indices(v for v, role in enumerate(roles) if role in "PC") & ~p_mask
+    context = SeedContext(
+        seed_vertex=0,
+        subgraph=dense,
+        seed_local=0,
+        candidate_mask=dense.full_mask,
+        two_hop_mask=0,
+        external_vertices=[],
+        external_adjacency=[],
+        degrees=[dense.degree(v) for v in range(dense.size)],
+        pair_ok=None,
+    )
+    config = EnumerationConfig.without_upper_bound()
+    searcher = BranchSearcher(context, k, 1, config, SearchStatistics(), lambda mask: None)
+    c_mask, x_mask = searcher._refined(p_mask, c_mask, mask_from_indices(
+        v for v, role in enumerate(roles) if role == "X"
+    ))
+    return searcher, k, p_mask, c_mask, x_mask
+
+
+@SETTINGS
+@given(refined_nodes())
+def test_pivot_census_matches_its_definitions(node):
+    """``select_pivot``'s one pass equals the per-vertex definitions it replaces.
+
+    The pivot is the argmin of (degree in ``P ∪ C``, in-P count, not in
+    ``P``, index) and every mask matches its definition; for every candidate
+    ``v``, the census-fed Algorithm 4 bound equals ``support_bound`` and the
+    include child ``_branch`` builds from the census equals ``_refined`` of
+    ``P ∪ {v}``.
+    """
+    searcher, k, p_mask, c_mask, x_mask = node
+    dense = searcher.context.subgraph
+    adjacency = dense.adjacency
+    pc_mask = p_mask | c_mask
+    if not pc_mask:
+        return
+    pivot, pivot_in_p, degree, in_p, saturated, one_short, tight, pc_saturated = select_pivot(
+        dense, p_mask, c_mask, k
+    )
+
+    def in_pc(v):
+        return (adjacency[v] & pc_mask).bit_count()
+
+    def in_p_count(v):
+        return (adjacency[v] & p_mask).bit_count()
+
+    def members(mask, test):
+        return mask_from_indices(v for v in iter_bits(mask) if test(v))
+
+    def key(v):
+        return in_pc(v), in_p_count(v), not p_mask >> v & 1, v
+
+    assert pivot == min(iter_bits(pc_mask), key=key)
+    assert (pivot_in_p, degree) == (bool(p_mask >> pivot & 1), in_pc(pivot))
+    p_size = p_mask.bit_count()
+    assert in_p == {u: in_p_count(u) for u in iter_bits(p_mask)}
+    assert saturated == members(p_mask, lambda u: in_p_count(u) == p_size - k)
+    assert one_short == members(p_mask, lambda u: in_p_count(u) == p_size - k + 1)
+    assert tight == members(c_mask, lambda v: in_p_count(v) == p_size + 1 - k)
+    assert pc_saturated == members(pc_mask, lambda v: in_pc(v) == pc_mask.bit_count() - k)
+    for v in iter_bits(c_mask):
+        census_bound = packing_bound(adjacency, p_mask, c_mask, v, k, dict(in_p))
+        assert census_bound == support_bound(dense, p_mask, c_mask, v, k)
+
+    # Branch on each candidate in turn: the census says v is the pivot (and,
+    # by a degree below |P ∪ C| - k, that P ∪ C is no k-plex); the rest is true.
+    children = []
+    searcher._recurse = lambda *child: children.append(child)
+    for v in iter_bits(c_mask):
+        census = (v, False, -k - 1, in_p, saturated, one_short, tight, pc_saturated)
+        with mock.patch.object(branch, "select_pivot", lambda *args: census):
+            searcher._branch(p_mask, c_mask, x_mask, searcher._minimum_degree(p_mask))
+        (child_p, child_c, child_x, _), _exclude = children[-2:]
+        assert child_p == p_mask | 1 << v
+        assert (child_c, child_x) == searcher._refined(child_p, c_mask & ~(1 << v), x_mask)
 
 
 # --------------------------------------------------------------------------- #

@@ -9,7 +9,6 @@ from repro.core.pruning import build_pair_matrix
 from repro.core.seeds import build_seed_context, iter_seed_contexts, iter_subtasks
 from repro.core.stats import SearchStatistics
 from repro.graph import generators
-from repro.graph.bitset import bits_to_list, contains
 from repro.graph.core_decomposition import core_decomposition
 from repro.graph.dense import DenseSubgraph, external_adjacency_mask
 from repro.graph.prepared import prepare

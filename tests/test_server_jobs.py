@@ -9,7 +9,6 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.request
 
 import pytest
 

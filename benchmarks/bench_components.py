@@ -14,6 +14,8 @@ from repro.core.seeds import iter_subtasks
 from repro.core.stats import SearchStatistics
 from repro.datasets import load_dataset
 from repro.graph.core_decomposition import core_decomposition, shrink_to_core
+from repro.graph.generators import barabasi_albert
+from repro.graph.prepared import prepare
 
 
 def _first_context(graph, k, q):
@@ -35,8 +37,9 @@ def test_bench_degeneracy_ordering(benchmark):
 def test_bench_seed_context_construction(benchmark):
     """Algorithm 2 over every seed of enwiki-2021 at k=2, q=8.
 
-    Most seeds are rejected on Corollary 5.2; the 112 kept ones build their
-    seed subgraph, external set and pair matrix from neighbour counts.
+    Most seeds are rejected on Corollary 5.2; the 112 kept ones select their
+    seed subgraph and external set from the prepared index's neighbour rows,
+    then build the dense subgraph and pair matrix.
     """
     graph = load_dataset("enwiki-2021")
     config = EnumerationConfig.ours()
@@ -48,6 +51,26 @@ def test_bench_seed_context_construction(benchmark):
 
     kept = benchmark(build_all)
     assert kept == 112
+
+
+def test_bench_seed_context_construction_sparse_core(benchmark):
+    """Algorithm 2 over every seed of a sparse 10,000-vertex core at k=1, q=3.
+
+    The core (a Barabási–Albert graph with 3 attachments) is far too sparse
+    for neighbour rows, so the index builds none and the 410 kept seeds
+    select their seed subgraph and external set from neighbour sets.
+    """
+    core, _ = shrink_to_core(barabasi_albert(10_000, 3, seed=1), 3 - 1)
+    config = EnumerationConfig.ours()
+    prepare(core).position
+
+    def build_all():
+        contexts = iter_seed_contexts(core, 1, 3, config, SearchStatistics())
+        return sum(context is not None for _seed, context in contexts)
+
+    kept = benchmark(build_all)
+    assert kept == 410
+    assert prepare(core).rows is None
 
 
 def test_bench_subtask_enumeration(benchmark):

@@ -19,7 +19,7 @@ The re-implementation below reuses the shared branch-and-bound engine with
 from __future__ import annotations
 
 import time
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..core.config import UPPER_BOUND_FP, EnumerationConfig
 from ..core.enumerator import EnumerationResult, mine_seed
@@ -27,8 +27,9 @@ from ..core.kplex import KPlex, validate_parameters
 from ..core.seeds import SeedContext, SubTask, seed_subgraph_vertices
 from ..core.stats import SearchStatistics
 from ..graph import Graph
-from ..graph.core_decomposition import core_decomposition, shrink_to_core
+from ..graph.core_decomposition import shrink_to_core
 from ..graph.dense import DenseSubgraph, external_adjacency_mask
+from ..graph.prepared import PreparedGraph, prepare
 
 
 def fp_config() -> EnumerationConfig:
@@ -43,8 +44,7 @@ def fp_config() -> EnumerationConfig:
 
 
 def build_fp_seed_context(
-    graph: Graph,
-    order_position: Sequence[int],
+    prepared: PreparedGraph,
     seed_vertex: int,
     k: int,
     q: int,
@@ -56,13 +56,12 @@ def build_fp_seed_context(
     Every earlier vertex within two hops of the seed is an external vertex:
     FP applies no count cut to ``V'_i``.
     """
-    members = seed_subgraph_vertices(
-        graph, order_position, seed_vertex, k, q, use_seed_pruning, stats
-    )
+    members = seed_subgraph_vertices(prepared, seed_vertex, k, q, use_seed_pruning, stats)
     if members is None:
         return None
-    kept_neighbors, kept_two_hop, _counts = members
+    kept_neighbors, kept_two_hop, _externals = members
 
+    graph, order_position = prepared.graph, prepared.position
     local_vertices = [seed_vertex] + sorted(kept_neighbors + kept_two_hop)
     subgraph = DenseSubgraph(graph, local_vertices)
     candidate_mask = subgraph.full_mask & ~1  # everyone except the seed (index 0)
@@ -105,9 +104,10 @@ class FPLike:
         # so the preprocess/search split is comparable with the 'ours' path.
         started = time.perf_counter()
         self._core_graph, self._core_map = shrink_to_core(graph, q - k)
-        self._decomposition = None
+        self._prepared: Optional[PreparedGraph] = None
         if self._core_graph.num_vertices >= q:
-            self._decomposition = core_decomposition(self._core_graph)
+            self._prepared = prepare(self._core_graph)
+            self._prepared.position
         preprocess = time.perf_counter() - started
         self.statistics.preprocess_seconds += preprocess
         self.statistics.elapsed_seconds += preprocess
@@ -126,18 +126,11 @@ class FPLike:
 
     def iter_seed_groups(self) -> Iterator[Tuple[int, List[KPlex]]]:
         """Mine seed by seed; yield each seed's branch calls and its results."""
-        if self._decomposition is None:
+        if self._prepared is None:
             return
-        decomposition = self._decomposition
-        position = decomposition.position()
-        for seed_vertex in decomposition.order:
+        for seed_vertex in self._prepared.decomposition.order:
             context = build_fp_seed_context(
-                self._core_graph,
-                position,
-                seed_vertex,
-                self.k,
-                self.q,
-                stats=self.statistics,
+                self._prepared, seed_vertex, self.k, self.q, stats=self.statistics
             )
             if context is None:
                 continue

@@ -7,9 +7,9 @@ Two families of pruning are implemented here:
   neighbours with the seed can never occur in a k-plex of size ``q`` together
   with the seed and is removed before the dense subgraph is materialised.
   Its neighbour half, :func:`corollary_52_neighbors`, lets a seed builder
-  reject a seed on its neighbours alone; the seed builder of Algorithm 2
-  then applies the two-hop half from neighbour counts
-  (:mod:`repro.core.seeds`).
+  reject a seed on its neighbours alone; Algorithm 2's seed builder
+  (:mod:`repro.core.seeds`) calls it on graphs too sparse for neighbour
+  rows and runs the same rounds on the rows otherwise.
 
 * :func:`build_pair_matrix` precomputes the boolean co-occurrence matrix ``T``
   of Theorems 5.13–5.15.  ``T[u][v]`` is ``False`` when ``u`` and ``v`` cannot

@@ -12,49 +12,48 @@ excluded from ``S``.  The *external* vertices, which precede ``v_i`` in the
 ordering but could still witness non-maximality, stay on the
 :class:`SeedContext`: Algorithm 3 tests a result against them at output.
 
-A kept seed's ``G_i`` is built from neighbour counts, not from a two-hop
-sweep.  Both thresholds of Corollary 5.2 count only the seed's kept
-*neighbours* (``|N(u) ∩ N(v_i) ∩ kept|``), so the neighbour rule
+Vertex selection reads the prepared index's neighbour rows
+(:attr:`~repro.graph.prepared.PreparedGraph.rows`, ``N(u)`` as a bitset over
+degeneracy positions), so a count ``|N(u) ∩ A|`` for every ``u`` at once is
+:func:`at_least` over the rows of ``A``.  A row op costs ``n/64`` machine
+words whatever the degree, so the index builds rows only for graphs whose
+rows fit in ``ROW_BYTES_PER_EDGE`` bytes per edge; on sparser graphs the
+same counts come from a ``Counter`` over neighbour sets, with the same
+thresholds and the same result.  Both thresholds of Corollary 5.2
+count only the seed's kept *neighbours*, so the neighbour rule
 (``< q - 2k``) is first iterated to its fixpoint ``S*`` over the later
 neighbours alone.  The seed is rejected when ``|S*| < q - k``: in any k-plex
 ``P ∋ v_i`` of ``G_i`` with ``|P| >= q`` the seed has at least
 ``|P| - k >= q - k`` neighbours, and Corollary 5.2 never prunes a member of
 ``P``, so all of them lie in ``S*``.  For ``k <= 2`` the corollary itself
-already implies this cut (a two-hop vertex needs ``q - 2k + 2 > |S*|``
-neighbours in ``S*``, so ``G_i`` would keep fewer than ``q`` vertices); for
-``k >= 3`` it rejects more seeds.
+already implies this cut; for ``k >= 3`` it rejects more seeds.  A later
+non-neighbour is then kept when at least ``q - 2k + 2`` rows of ``S*`` hold
+it; one pass is the fixpoint, since dropping two-hop vertices changes no
+count, so a kept seed's ``G_i`` is exactly the corollary's fixpoint.
 
-A surviving seed then counts, in one C-level pass over the neighbour sets of
-``S*``, ``|N(u) ∩ S*|`` for every vertex ``u``.  A two-hop vertex is kept
-when that count is at least ``q - 2k + 2``, and since ``q >= 2k - 1`` makes
-this at least 1, every vertex the rule can keep shows up in the count: the
-later vertices that share no neighbour with ``S*`` fail the rule and are never
-enumerated.  One pass is the fixpoint, since dropping two-hop vertices changes
-no count, so a kept seed's ``G_i`` is exactly the corollary's fixpoint.
-
-The same counter, extended with the neighbour sets of the seed and of the
-kept two-hop vertices, then holds ``|N(u) ∩ G_i|`` for every vertex.  Only
-the external vertices with at least ``q + 1 - k`` neighbours in the pruned
-``G_i`` are kept.  This drops no witness: a vertex ``u`` that extends a
-result ``H ⊆ G_i`` with ``|H| >= q`` makes ``H ∪ {u}`` a k-plex, so
-``|N(u) ∩ H| >= |H| + 1 - k >= q + 1 - k``.  The count also reaches
-vertices three hops from the seed (neighbours of two-hop members), so each
-survivor is checked to lie within two hops, as ``V'_i`` requires.
+Only the earlier vertices held by at least ``q + 1 - k`` rows of the pruned
+``G_i`` become externals.  This drops no witness: a vertex ``u`` that extends
+a result ``H ⊆ G_i`` with ``|H| >= q`` makes ``H ∪ {u}`` a k-plex, so
+``|N(u) ∩ H| >= |H| + 1 - k >= q + 1 - k``.  Each survivor is checked to
+lie within two hops (it is a neighbour of the seed or shares one), as
+``V'_i`` requires.
 
 Without Corollary 5.2 (the ``use_seed_pruning`` ablation) ``G_i`` is Eq
-(1)'s full vertex set, which includes two-hop vertices reached only through
-*earlier* neighbours, so that path takes the two-hop sweep instead.
+(1)'s full vertex set: the later neighbours plus the later non-neighbours
+of any neighbour, earlier ones included.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import chain
-from typing import Iterator, List, Optional, Sequence, Tuple
+from operator import or_
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..graph import Graph
-from ..graph.bitset import bits_to_list
+from ..graph.bitset import bits_to_list, iter_bits
 from ..graph.dense import DenseSubgraph, external_adjacency_mask
 from ..graph.prepared import PreparedGraph, prepare
 from .bounds import seed_task_bound
@@ -120,31 +119,72 @@ class SubTask:
     x_mask: int
 
 
+#: A seed's kept later neighbours, kept later two-hop vertices and a function
+#: listing its externals (see :func:`seed_subgraph_vertices`).
+Selection = Tuple[List[int], List[int], Callable[[], List[int]]]
+
+
+def at_least(rows: Iterable[int], count: int) -> int:
+    """The bits set in at least ``count`` (``>= 1``) of ``rows``.
+
+    Counts in bit slices: ``digits[i]`` holds bit ``i`` of every position's
+    count, so adding a row ripples a carry through a few digits, whatever
+    ``count`` is; the positions that reach ``count`` are then read off by
+    comparing the digits with it, most significant first.
+    """
+    digits: List[int] = []
+    reached = 0
+    for row in rows:
+        reached |= row
+        carry = row
+        for i, digit in enumerate(digits):
+            digits[i] = digit ^ carry
+            carry &= digit
+            if not carry:
+                break
+        else:
+            if carry:
+                digits.append(carry)
+    if count >> len(digits):
+        return 0
+    greater, equal = 0, reached
+    for i in range(len(digits) - 1, -1, -1):
+        if count >> i & 1:
+            equal &= digits[i]
+        else:
+            greater |= equal & digits[i]
+            equal &= ~digits[i]
+    return greater | equal
+
+
 def seed_subgraph_vertices(
-    graph: Graph,
-    order_position: Sequence[int],
+    prepared: PreparedGraph,
     seed_vertex: int,
     k: int,
     q: int,
     use_seed_pruning: bool,
     stats: Optional[SearchStatistics] = None,
-) -> Optional[Tuple[List[int], List[int], Counter]]:
+) -> Optional[Selection]:
     """The vertices of one seed's pruned ``G_i``, or ``None`` if the seed is rejected.
 
     Returns the kept later neighbours and the kept later two-hop vertices of
-    ``seed_vertex`` (each sorted by vertex id), and a ``Counter`` holding
-    ``|N(u) ∩ G_i|`` for every vertex ``u`` with a neighbour in ``G_i``.
-    With ``use_seed_pruning`` Corollary 5.2 runs in the order of the module
-    docstring: a seed rejected on its neighbours counts nothing further, and
-    a surviving seed finds its two-hop vertices in the count over ``S*``
-    (``q >= 2k - 1`` is assumed, as :func:`repro.core.kplex.validate_parameters`
-    enforces).  Without it ``G_i`` is Eq (1)'s later vertices within two hops.
+    ``seed_vertex`` (each sorted by vertex id), and a function listing the
+    externals: ``V'_i``'s vertices with at least ``q + 1 - k`` neighbours in
+    ``G_i``, sorted.  Selection follows the module docstring, on
+    ``prepared``'s neighbour rows when it has them and on neighbour sets
+    otherwise: a seed rejected on its neighbours selects nothing further
+    (``q >= 2k - 1`` is assumed, as
+    :func:`repro.core.kplex.validate_parameters` enforces).  Without
+    ``use_seed_pruning`` ``G_i`` is Eq (1)'s later vertices within two hops.
     ``None`` is returned, and counted in ``stats.seeds_pruned_empty``, when
     ``G_i`` cannot hold a k-plex with ``q`` vertices.
     """
-    seed_position = order_position[seed_vertex]
+    if prepared.rows is not None:
+        return _select_by_rows(prepared, seed_vertex, k, q, use_seed_pruning, stats)
+    graph, position = prepared.graph, prepared.position
+    seed_position = position[seed_vertex]
     neighbors = graph.neighbors(seed_vertex)
-    later_neighbors = [v for v in neighbors if order_position[v] > seed_position]
+    later_neighbors = [v for v in neighbors if position[v] > seed_position]
     if use_seed_pruning:
         kept_neighbors = corollary_52_neighbors(graph, later_neighbors, k, q)
         if stats is not None:
@@ -156,31 +196,118 @@ def seed_subgraph_vertices(
         # |N(u) ∩ S*| for every u; the later non-neighbours counted are the
         # only two-hop vertices the rule could keep.
         counts = Counter(chain.from_iterable(map(graph.neighbors, kept_neighbors)))
-        later_two_hop = [
-            v for v in counts.keys() - neighbors if order_position[v] > seed_position
-        ]
-        threshold = q - 2 * k + 2
-        kept_two_hop = [v for v in later_two_hop if counts[v] >= threshold]
+        reached = [v for v in counts.keys() - neighbors if position[v] > seed_position]
+        two_hop = [v for v in reached if counts[v] >= q - 2 * k + 2]
         if stats is not None:
-            stats.vertices_pruned_by_corollary += len(later_two_hop) - len(kept_two_hop)
-        uncounted = [seed_vertex] + kept_two_hop
+            stats.vertices_pruned_by_corollary += len(reached) - len(two_hop)
+        uncounted = [seed_vertex] + two_hop
     else:
         kept_neighbors = later_neighbors
-        two_hop = graph.two_hop_neighbors(seed_vertex)
-        kept_two_hop = [v for v in two_hop if order_position[v] > seed_position]
+        reached = graph.neighborhood_within_two_hops(seed_vertex) - neighbors
+        two_hop = [v for v in reached if position[v] > seed_position]
         counts = Counter()
-        uncounted = [seed_vertex] + kept_neighbors + kept_two_hop
-    if 1 + len(kept_neighbors) + len(kept_two_hop) < q:
+        uncounted = [seed_vertex] + kept_neighbors + two_hop
+    if 1 + len(kept_neighbors) + len(two_hop) < q:
         if stats is not None:
             stats.seeds_pruned_empty += 1
         return None
+
+    externals = partial(
+        _externals_by_counts, graph, position, seed_vertex, counts, uncounted, q + 1 - k
+    )
+    return sorted(kept_neighbors), sorted(two_hop), externals
+
+
+def _rejected(stats: Optional[SearchStatistics]) -> None:
+    if stats is not None:
+        stats.seeds_pruned_empty += 1
+    return None
+
+
+def _select_by_rows(
+    prepared: PreparedGraph,
+    seed_vertex: int,
+    k: int,
+    q: int,
+    use_seed_pruning: bool,
+    stats: Optional[SearchStatistics],
+) -> Optional[Selection]:
+    """:func:`seed_subgraph_vertices` on the neighbour rows of ``prepared``."""
+    position, rows = prepared.position, prepared.rows
+    order = prepared.decomposition.order
+    seed_position = position[seed_vertex]
+    seed_row = rows[seed_vertex]
+    later = -1 << (seed_position + 1)
+    neighbors = prepared.graph.neighbors(seed_vertex)
+    kept_neighbors = {v for v in neighbors if position[v] > seed_position}
+    if use_seed_pruning:
+        # Corollary 5.2's neighbour rule to S*, a whole round at a time as in
+        # corollary_52_neighbors, so a rejected seed's counter matches it.
+        kept = seed_row & later
+        later_count = len(kept_neighbors)
+        while len(kept_neighbors) >= q - k:
+            dropped = [u for u in kept_neighbors if (rows[u] & kept).bit_count() < q - 2 * k]
+            if not dropped:
+                break
+            kept_neighbors.difference_update(dropped)
+            kept &= ~sum(1 << position[u] for u in dropped)
+        if stats is not None:
+            stats.vertices_pruned_by_corollary += later_count - len(kept_neighbors)
+        if len(kept_neighbors) < q - k:
+            return _rejected(stats)
+        outside = later & ~seed_row
+        two_hop_mask = at_least(map(rows.__getitem__, kept_neighbors), q - 2 * k + 2) & outside
+        if stats is not None:
+            reached = reduce(or_, map(rows.__getitem__, kept_neighbors), 0) & outside
+            stats.vertices_pruned_by_corollary += reached.bit_count() - two_hop_mask.bit_count()
+    else:
+        two_hop_mask = reduce(or_, map(rows.__getitem__, neighbors), 0) & later & ~seed_row
+    if 1 + len(kept_neighbors) + two_hop_mask.bit_count() < q:
+        return _rejected(stats)
+    two_hop = [order[index] for index in iter_bits(two_hop_mask)]
+
+    members = [seed_vertex, *kept_neighbors, *two_hop]
+    externals = partial(_externals_by_rows, prepared, seed_vertex, members, q + 1 - k)
+    return sorted(kept_neighbors), sorted(two_hop), externals
+
+
+def _externals_by_counts(
+    graph: Graph,
+    position: List[int],
+    seed_vertex: int,
+    counts: Counter,
+    uncounted: List[int],
+    threshold: int,
+) -> List[int]:
+    # The count reaches three hops (neighbours of two-hop members), so the
+    # few survivors are tested to lie within two hops.
     counts.update(chain.from_iterable(map(graph.neighbors, uncounted)))
-    return sorted(kept_neighbors), sorted(kept_two_hop), counts
+    neighbors = graph.neighbors(seed_vertex)
+    seed_position = position[seed_vertex]
+    return sorted(
+        vertex
+        for vertex, count in counts.items()
+        if count >= threshold
+        and position[vertex] < seed_position
+        and (vertex in neighbors or not graph.neighbors(vertex).isdisjoint(neighbors))
+    )
+
+
+def _externals_by_rows(
+    prepared: PreparedGraph, seed_vertex: int, members: List[int], threshold: int
+) -> List[int]:
+    rows, order = prepared.rows, prepared.decomposition.order
+    seed_row = rows[seed_vertex]
+    witnesses = at_least(map(rows.__getitem__, members), threshold)
+    return sorted(
+        order[index]
+        for index in iter_bits(witnesses & ((1 << prepared.position[seed_vertex]) - 1))
+        if (seed_row >> index) & 1 or rows[order[index]] & seed_row
+    )
 
 
 def build_seed_context(
-    graph: Graph,
-    order_position: Sequence[int],
+    prepared: PreparedGraph,
     seed_vertex: int,
     k: int,
     q: int,
@@ -189,45 +316,31 @@ def build_seed_context(
 ) -> Optional[SeedContext]:
     """Build the :class:`SeedContext` for one seed vertex, or ``None`` if prunable.
 
-    ``order_position[v]`` must give the position of vertex ``v`` in the
-    degeneracy ordering.  ``None`` is returned when the (pruned) seed
-    subgraph is too small to contain a k-plex with ``q`` vertices.
-
-    The external vertices are read off the neighbour counts of
-    :func:`seed_subgraph_vertices` (module docstring): an earlier vertex is
-    kept when it has at least ``q + 1 - k`` neighbours in ``G_i`` and lies
-    within two hops of the seed, a C-level membership or disjointness test
-    paid only by the few vertices that pass the count.
+    ``prepared`` is the index of the mined graph; the seed's ``G_i`` is
+    selected by :func:`seed_subgraph_vertices`.  ``None`` is
+    returned when the (pruned) seed subgraph is too small to contain a
+    k-plex with ``q`` vertices.  The external vertices are the earlier
+    vertices within two hops held by at least ``q + 1 - k`` rows of ``G_i``
+    (module docstring).
     """
     members = seed_subgraph_vertices(
-        graph, order_position, seed_vertex, k, q, config.use_seed_pruning, stats
+        prepared, seed_vertex, k, q, config.use_seed_pruning, stats
     )
     if members is None:
         return None
-    kept_neighbors, kept_two_hop, counts = members
+    kept_neighbors, kept_two_hop, externals = members
 
     # Local ordering: seed first, then its neighbours, then its non-neighbours,
     # each group sorted by vertex id.  Keeping the seed at index 0 makes masks
     # easy to reason about in tests.
     local_vertices = [seed_vertex] + kept_neighbors + kept_two_hop
-    subgraph = DenseSubgraph(graph, local_vertices)
+    subgraph = DenseSubgraph(prepared.graph, local_vertices)
     seed_local = 0
     candidate_mask = subgraph.mask_of_parents(kept_neighbors)
     two_hop_mask = subgraph.mask_of_parents(kept_two_hop)
 
-    seed_position = order_position[seed_vertex]
-    neighbors = graph.neighbors(seed_vertex)
-    external_threshold = q + 1 - k
-    external_vertices = sorted(
-        vertex
-        for vertex, count in counts.items()
-        if count >= external_threshold
-        and order_position[vertex] < seed_position
-        and (vertex in neighbors or not graph.neighbors(vertex).isdisjoint(neighbors))
-    )
-    external_adjacency = [
-        external_adjacency_mask(subgraph, vertex) for vertex in external_vertices
-    ]
+    external = externals()
+    external_adjacency = [external_adjacency_mask(subgraph, vertex) for vertex in external]
     degrees = [row.bit_count() for row in subgraph.adjacency]
 
     pair_ok = None
@@ -244,7 +357,7 @@ def build_seed_context(
         seed_local=seed_local,
         candidate_mask=candidate_mask,
         two_hop_mask=two_hop_mask,
-        external_vertices=external_vertices,
+        external_vertices=external,
         external_adjacency=external_adjacency,
         degrees=degrees,
         pair_ok=pair_ok,
@@ -332,7 +445,5 @@ def iter_seed_contexts(
     """
     if prepared is None:
         prepared = prepare(graph)
-    position = prepared.position
     for seed_vertex in prepared.decomposition.order:
-        context = build_seed_context(graph, position, seed_vertex, k, q, config, stats)
-        yield seed_vertex, context
+        yield seed_vertex, build_seed_context(prepared, seed_vertex, k, q, config, stats)

@@ -189,16 +189,6 @@ class Graph:
     # ------------------------------------------------------------------ #
     # Neighbourhood and subgraph operations
     # ------------------------------------------------------------------ #
-    def two_hop_neighbors(self, vertex: int) -> FrozenSet[int]:
-        """Return the vertices at distance exactly two from ``vertex``."""
-        direct = self._adjacency[vertex]
-        second = set()
-        for neighbour in direct:
-            second.update(self._adjacency[neighbour])
-        second.discard(vertex)
-        second.difference_update(direct)
-        return frozenset(second)
-
     def neighborhood_within_two_hops(self, vertex: int) -> FrozenSet[int]:
         """Return ``{vertex} ∪ N(vertex) ∪ N²(vertex)``."""
         closed = {vertex}

@@ -9,6 +9,11 @@ the preprocessing time.
 :class:`PreparedGraph` caches, per :class:`~repro.graph.graph.Graph`:
 
 * the core decomposition (degeneracy ordering, core numbers, degeneracy);
+* the neighbour rows: every vertex's neighbour set as an int bitset over
+  degeneracy positions, which Algorithm 2's seed selection reads (built on
+  first use by a solve, only for graphs dense enough that their ``n²/8``
+  bytes stay within ``ROW_BYTES_PER_EDGE`` bytes per edge, and never
+  pickled);
 * the shrunk ``d``-core for every requested minimum degree ``d``, together
   with the vertex map back to the source graph and a chained
   :class:`PreparedGraph` for the core graph itself.
@@ -38,6 +43,14 @@ from .core_decomposition import (
 from .graph import Graph
 
 _LOCK = threading.Lock()
+
+#: Neighbour rows are built only while ``n²/8 <= ROW_BYTES_PER_EDGE · m``
+#: (see :attr:`PreparedGraph.rows`).
+ROW_BYTES_PER_EDGE = 16
+
+
+def _dense_enough_for_rows(graph: Graph) -> bool:
+    return graph.num_vertices ** 2 <= 8 * ROW_BYTES_PER_EDGE * graph.num_edges
 
 
 def prepare(graph: Graph, max_core_levels: Optional[int] = None) -> "PreparedGraph":
@@ -87,6 +100,8 @@ class PreparedGraph:
         self._lock = threading.RLock()
         self._decomposition: Optional[CoreDecomposition] = None
         self._position: Optional[List[int]] = None
+        self._rows: Optional[List[int]] = None
+        self._dense = _dense_enough_for_rows(graph)
         # LRU over core levels: entries move to the end on every hit so the
         # optional memory budget evicts the least recently used level first.
         self._cores: "OrderedDict[int, Tuple[Graph, List[int]]]" = OrderedDict()
@@ -135,6 +150,26 @@ class PreparedGraph:
                     position = self.decomposition.position()
                     self._position = position
         return position
+
+    @property
+    def rows(self) -> Optional[List[int]]:
+        """``rows[v]`` = ``N(v)`` as a bitset over degeneracy positions, or ``None``.
+
+        Rows are built only while they take at most ``ROW_BYTES_PER_EDGE``
+        bytes per edge (``n²/8 <= ROW_BYTES_PER_EDGE · m``): a row op then
+        costs about as many machine words as a mean neighbour set holds
+        entries.  Sparser graphs get ``None`` and keep set-based selection.
+        """
+        rows = self._rows
+        if rows is None and self._dense:
+            with self._lock:
+                rows = self._rows
+                if rows is None:
+                    bits = [1 << index for index in self.position]
+                    neighbors = self._graph.neighbors
+                    rows = [sum(map(bits.__getitem__, neighbors(v))) for v in range(len(bits))]
+                    self._rows = rows
+        return rows
 
     def core(self, minimum_degree: int) -> Tuple[Graph, List[int]]:
         """Return the cached ``minimum_degree``-core and its vertex map.
@@ -223,8 +258,8 @@ class PreparedGraph:
         """A slim copy carrying only what parallel workers read.
 
         Ships the graph, the finished core decomposition and the position
-        index; cached core subgraphs stay behind, keeping the per-worker
-        pickle payload minimal.
+        index; cached core subgraphs and the neighbour rows stay behind,
+        keeping the per-worker pickle payload minimal.
         """
         slim = PreparedGraph(self._graph)
         slim._decomposition = self.decomposition
@@ -248,12 +283,14 @@ class PreparedGraph:
         """Which artefacts have been materialised so far (for tests/logs)."""
         return {
             "decomposition": self._decomposition is not None,
+            "rows": self._rows is not None,
             "core_levels": sorted(self._cores),
         }
 
     def __getstate__(self):
         # Ship the computed artefacts so worker processes skip the
-        # preprocessing entirely; the lock is recreated on arrival.
+        # preprocessing entirely; the lock is recreated on arrival and the
+        # neighbour rows are rebuilt, cheaper than pickling ``n²/8`` bytes.
         return {
             "graph": self._graph,
             "decomposition": self._decomposition,
@@ -267,6 +304,8 @@ class PreparedGraph:
         self._lock = threading.RLock()
         self._decomposition = state["decomposition"]
         self._position = state["position"]
+        self._rows = None
+        self._dense = _dense_enough_for_rows(self._graph)
         self._cores = OrderedDict(state["cores"])
         self._max_core_levels = state.get("core_budget")
         self._core_evictions = 0

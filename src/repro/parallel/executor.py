@@ -128,13 +128,7 @@ def _mine_seed_with_state(state: _WorkerState, seed_vertex: int) -> SeedOutcome:
     stats = SearchStatistics()
     results: List[Tuple[int, ...]] = []
     context = build_seed_context(
-        state.prepared.graph,
-        state.prepared.position,
-        seed_vertex,
-        state.k,
-        state.q,
-        state.config,
-        stats,
+        state.prepared, seed_vertex, state.k, state.q, state.config, stats
     )
     if context is not None:
         mine_seed(
@@ -252,8 +246,10 @@ def _enumerate_parallel(
             seed_span.set(seeds=len(seeds))
         merged_stats.preprocess_seconds = time.perf_counter() - started
         stage = parallel.num_workers
+        # Threads share the core's own index, so its neighbour rows are
+        # built once and stay cached; processes get a slim picklable copy.
         state = _WorkerState(
-            prepared_core.for_worker_transfer(),
+            prepared_core.for_worker_transfer() if parallel.use_processes else prepared_core,
             k,
             q,
             parallel.enumeration,

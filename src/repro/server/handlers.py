@@ -861,7 +861,8 @@ class KPlexRequestHandler(BaseHTTPRequestHandler):
             return 1
         try:
             return service.retry_after_hint()
-        except Exception:  # pragma: no cover - the hint must never 500 a reply
+        except Exception as exc:  # the hint must never 500 a reply
+            log_event("retry_after_hint_failed", level=logging.WARNING, error=repr(exc))
             return 1
 
     def _send_error_body(

@@ -45,9 +45,10 @@ def estimate_graph_bytes(graph: "Graph") -> int:
 def estimate_prepared_bytes(prepared: "PreparedGraph") -> int:
     """Approximate resident size of the materialised prepared-index artefacts.
 
-    Only counts what has actually been built: the core decomposition lists
-    and every *distinct* cached core subgraph (identity entries share the
-    source graph and contribute only their vertex map).
+    Only counts what has actually been built: the core decomposition lists,
+    the neighbour rows (``n²/8`` bytes of bitsets) and every *distinct*
+    cached core subgraph (identity entries share the source graph and
+    contribute only their vertex map).
     """
     total = _OBJECT
     decomposition = prepared._decomposition
@@ -55,6 +56,9 @@ def estimate_prepared_bytes(prepared: "PreparedGraph") -> int:
         total += 2 * len(decomposition.order) * (_LIST_ENTRY + _SMALL_INT)
     if prepared._position is not None:
         total += len(prepared._position) * (_LIST_ENTRY + _SMALL_INT)
+    if prepared._rows is not None:
+        n = len(prepared._rows)
+        total += n * (_LIST_ENTRY + _SMALL_INT) + n * n // 8
     for core_graph, vertex_map in prepared._cores.values():
         total += len(vertex_map) * (_LIST_ENTRY + _SMALL_INT)
         if core_graph is not prepared.graph:

@@ -13,7 +13,7 @@ from repro.core.query import enumerate_kplexes_containing
 from repro.core.seeds import SubTask, build_seed_context, iter_seed_contexts, iter_subtasks
 from repro.core.stats import SearchStatistics
 from repro.graph import generators
-from repro.graph.core_decomposition import core_decomposition
+from repro.graph.prepared import prepare
 
 
 def _mine_graph(graph, k, q, config):
@@ -134,12 +134,11 @@ def test_branch_state_is_frozen_record():
 
 def test_single_subtask_run_on_explicit_context():
     graph = generators.complete_graph(6)
-    decomposition = core_decomposition(graph)
-    position = decomposition.position()
+    prepared = prepare(graph)
     config = EnumerationConfig.ours()
     stats = SearchStatistics()
-    seed = decomposition.order[0]
-    context = build_seed_context(graph, position, seed, 1, 3, config, stats)
+    seed = prepared.decomposition.order[0]
+    context = build_seed_context(prepared, seed, 1, 3, config, stats)
     assert context is not None
     results = []
     searcher = BranchSearcher(

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.api import EnumerationRequest, KPlexEngine
-from repro.core import EnumerationConfig
+from repro.core import EnumerationConfig, enumerate_maximal_kplexes
 from repro.graph import (
     Graph,
     core_decomposition,
@@ -22,6 +22,8 @@ from repro.graph import (
     shrink_to_core,
 )
 from repro.graph.generators import erdos_renyi, relaxed_caveman, star_graph
+from repro.graph.prepared import ROW_BYTES_PER_EDGE
+from repro.service import estimate_prepared_bytes
 
 from _helpers import assert_matches_reference_core
 
@@ -107,10 +109,62 @@ def test_prepared_graph_cache_info_tracks_materialisation():
     graph = erdos_renyi(20, 0.3, seed=2)
     invalidate(graph)
     prepared = prepare(graph)
-    assert prepared.cache_info() == {"decomposition": False, "core_levels": []}
+    assert prepared.cache_info() == {"decomposition": False, "rows": False, "core_levels": []}
     prepared.decomposition
     prepared.core(2)
-    assert prepared.cache_info() == {"decomposition": True, "core_levels": [2]}
+    assert prepared.cache_info() == {"decomposition": True, "rows": False, "core_levels": [2]}
+    prepared.rows
+    assert prepared.cache_info()["rows"]
+
+
+def test_neighbour_rows_are_counted_and_stay_behind_on_transfer():
+    """A solve builds the rows on the mined core; they are estimated, never shipped."""
+    graph = erdos_renyi(40, 0.3, seed=5)
+    invalidate(graph)
+    engine = KPlexEngine()
+    engine.prepare(graph, k=2, q=5)
+    core = prepare(graph).prepared_core(3)[0]
+    assert not core.cache_info()["rows"]
+    before = estimate_prepared_bytes(prepare(graph))
+    engine.solve(EnumerationRequest(graph=graph, k=2, q=5))
+    assert core.cache_info()["rows"]
+    assert estimate_prepared_bytes(prepare(graph)) >= before + core.graph.num_vertices ** 2 // 8
+    position = core.position
+    for copy in (pickle.loads(pickle.dumps(core)), core.for_worker_transfer()):
+        assert not copy.cache_info()["rows"]
+        assert copy.position == position
+    assert "rows" not in core.__getstate__()
+    assert [row.bit_count() for row in core.rows] == core.graph.degrees()
+
+
+def test_sparse_cores_get_no_neighbour_rows():
+    """Rows are withheld past ``ROW_BYTES_PER_EDGE`` bytes per edge; the solve is unchanged."""
+    graph = relaxed_caveman(100, 5, 0.1, seed=7)
+    invalidate(graph)
+    core = prepare(graph).prepared_core(2)[0]
+    n, m = core.graph.num_vertices, core.graph.num_edges
+    assert n * n > 8 * ROW_BYTES_PER_EDGE * m
+    core.position
+    before = estimate_prepared_bytes(prepare(graph))
+    result = KPlexEngine().solve(EnumerationRequest(graph=graph, k=2, q=4))
+    assert core.rows is None and not core.cache_info()["rows"]
+    assert estimate_prepared_bytes(prepare(graph)) == before
+    expected = {p.as_set() for p in enumerate_maximal_kplexes(graph, 2, 4)}
+    assert {p.as_set() for p in result.kplexes} == expected
+
+
+def test_thread_parallel_solves_build_rows_once_on_the_shared_core():
+    from repro.parallel.executor import ParallelConfig, parallel_enumerate_maximal_kplexes
+
+    graph = erdos_renyi(40, 0.3, seed=5)
+    invalidate(graph)
+    config = ParallelConfig(num_workers=2, use_processes=False)
+    parallel_enumerate_maximal_kplexes(graph, 2, 5, config)
+    core = prepare(graph).prepared_core(3)[0]
+    rows = core.rows
+    assert rows is not None
+    parallel_enumerate_maximal_kplexes(graph, 2, 5, config)
+    assert core.rows is rows
 
 
 def test_prepared_graph_pickle_roundtrip_keeps_artifacts():

@@ -69,11 +69,13 @@ def test_edges_iteration_unique():
 
 
 def test_two_hop_neighbors():
-    # Path 0 - 1 - 2 - 3
+    # Path 0 - 1 - 2 - 3: the vertices at distance two are the two-hop
+    # neighbourhood minus the vertex and its neighbours.
     graph = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
-    assert graph.two_hop_neighbors(0) == frozenset({2})
     assert graph.neighborhood_within_two_hops(0) == frozenset({0, 1, 2})
-    assert graph.two_hop_neighbors(1) == frozenset({3})
+    assert graph.neighborhood_within_two_hops(0) - graph.neighbors(0) - {0} == {2}
+    assert graph.neighborhood_within_two_hops(1) == frozenset({0, 1, 2, 3})
+    assert graph.neighborhood_within_two_hops(1) - graph.neighbors(1) - {1} == {3}
 
 
 def test_common_neighbors():

@@ -142,7 +142,7 @@ def test_corollary52_keeps_seed_always():
 # --------------------------------------------------------------------------- #
 def _pair_matrix_for(graph, seed_vertex, k, q):
     neighbors = sorted(graph.neighbors(seed_vertex))
-    two_hop = sorted(graph.two_hop_neighbors(seed_vertex))
+    two_hop = sorted(graph.neighborhood_within_two_hops(seed_vertex) - set(neighbors) - {seed_vertex})
     order = [seed_vertex] + neighbors + two_hop
     dense = DenseSubgraph(graph, order)
     candidate_mask = dense.mask_of_parents(neighbors)
@@ -229,7 +229,7 @@ def test_pair_matrix_matches_per_pair_thresholds():
     for graph in random_graph_cases(8, max_vertices=14, seed=31):
         for seed_vertex in list(graph.vertices())[:4]:
             neighbors = sorted(graph.neighbors(seed_vertex))
-            two_hop = sorted(graph.two_hop_neighbors(seed_vertex))
+            two_hop = sorted(graph.neighborhood_within_two_hops(seed_vertex) - set(neighbors) - {seed_vertex})
             dense = DenseSubgraph(graph, [seed_vertex] + neighbors + two_hop)
             candidate_mask = dense.mask_of_parents(neighbors)
             two_hop_mask = dense.mask_of_parents(two_hop)

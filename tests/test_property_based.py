@@ -23,9 +23,15 @@ from repro.core.bounds import degree_bound, packing_bound, support_bound
 from repro.core.branch import BranchSearcher
 from repro.core.kplex import is_maximal_kplex
 from repro.core.pivot import select_pivot
-from repro.core.pruning import corollary_52_keep
+from repro.core.pruning import corollary_52_keep, corollary_52_neighbors
 from repro.core.query import enumerate_kplexes_containing
-from repro.core.seeds import SeedContext, iter_seed_contexts, iter_subtasks
+from repro.core.seeds import (
+    SeedContext,
+    at_least,
+    build_seed_context,
+    iter_seed_contexts,
+    iter_subtasks,
+)
 from repro.core.stats import SearchStatistics
 from repro.graph import Graph, generators
 from repro.graph.bitset import iter_bits, mask_from_indices
@@ -35,6 +41,7 @@ from repro.graph.core_decomposition import (
     shrink_to_core,
 )
 from repro.graph.dense import DenseSubgraph
+from repro.graph.prepared import PreparedGraph, prepare
 from repro.graph.properties import is_connected_subset, subset_diameter
 from repro.jobs import JobManager, JobManagerConfig
 from repro.parallel import ParallelConfig, parallel_enumerate_maximal_kplexes
@@ -496,6 +503,102 @@ def test_corollary_52_early_exit_matches_fixpoint(case):
         elif len(fixpoint) >= q:
             assert k >= 3
             assert not seed_in_large_kplex(graph, seed, fixpoint, k, q)
+
+
+@SETTINGS
+@given(
+    st.lists(st.integers(min_value=0, max_value=2**40 - 1), max_size=40),
+    st.integers(min_value=1, max_value=45),
+)
+def test_at_least_matches_counting(rows, count):
+    """``at_least`` keeps exactly the bits set in ``count`` or more rows."""
+    expected = sum(
+        1 << bit for bit in range(40) if sum(row >> bit & 1 for row in rows) >= count
+    )
+    assert at_least(rows, count) == expected
+
+
+def _selection_by_sets(graph, position, seed, k, q, use_seed_pruning):
+    """Algorithm 2's vertex selection for one seed, restated on vertex sets.
+
+    Returns ``(members, pruned, rejected)``: ``members`` is ``None`` for a
+    rejected seed, else the kept later neighbours, the kept later two-hop
+    vertices and the externals (each sorted); ``pruned`` and ``rejected``
+    are what the seed adds to ``vertices_pruned_by_corollary`` and
+    ``seeds_pruned_empty``.
+    """
+    neighbors = graph.neighbors(seed)
+    later = {v for v in graph.vertices() if position[v] > position[seed]}
+    pruned = 0
+    if use_seed_pruning:
+        s_star = corollary_52_neighbors(graph, neighbors & later, k, q)
+        pruned = len(neighbors & later) - len(s_star)
+        if len(s_star) < q - k:
+            return None, pruned, 1
+        counts = {x: len(graph.neighbors(x) & s_star) for x in later - neighbors}
+        two_hop = {x for x, count in counts.items() if count >= q - 2 * k + 2}
+        pruned += sum(count > 0 for count in counts.values()) - len(two_hop)
+    else:
+        s_star = neighbors & later
+        two_hop = (graph.neighborhood_within_two_hops(seed) & later) - neighbors
+    members = {seed} | s_star | two_hop
+    if len(members) < q:
+        return None, pruned, 1
+    externals = [
+        x
+        for x in sorted(graph.neighborhood_within_two_hops(seed))
+        if position[x] < position[seed] and len(graph.neighbors(x) & members) >= q + 1 - k
+    ]
+    return (sorted(s_star), sorted(two_hop), externals), pruned, 0
+
+
+@SETTINGS
+@given(
+    st.integers(min_value=6, max_value=16),
+    st.floats(min_value=0.2, max_value=0.8),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_seed_selection_matches_its_set_definitions(n, p, graph_seed):
+    """Both selections of ``G_i`` and ``V'_i`` equal their set form.
+
+    The bitset-row path and the neighbour-set path (the index withholds rows
+    from graphs too sparse for them), every seed, k = 1..4,
+    q = 2k - 1..2k + 4, with and without Corollary 5.2: the kept neighbours
+    (``S*``), two-hop vertices and externals, and the two seed counters,
+    match the set definitions of the module docstring.  Density is drawn so
+    that Corollary 5.2's fixpoint takes several rounds.
+    """
+    graph = generators.erdos_renyi(n, p, seed=graph_seed)
+    position = prepare(graph).position
+    for row_bytes in (0, 10**9):
+        with mock.patch("repro.graph.prepared.ROW_BYTES_PER_EDGE", row_bytes):
+            prepared = PreparedGraph(graph)
+            assert (prepared.rows is None) == (row_bytes == 0 or graph.num_edges == 0)
+            for k in range(1, 5):
+                for q in range(2 * k - 1, 2 * k + 5):
+                    for use_seed_pruning in (True, False):
+                        _check_seed_selection(prepared, k, q, use_seed_pruning, position)
+
+
+def _check_seed_selection(prepared, k, q, use_seed_pruning, position):
+    graph = prepared.graph
+    config = EnumerationConfig.ours().with_changes(use_seed_pruning=use_seed_pruning)
+    for seed in graph.vertices():
+        stats = SearchStatistics()
+        context = build_seed_context(prepared, seed, k, q, config, stats)
+        expected, pruned, rejected = _selection_by_sets(
+            graph, position, seed, k, q, use_seed_pruning
+        )
+        case = (prepared.rows is None, seed, k, q, use_seed_pruning)
+        assert stats.vertices_pruned_by_corollary == pruned, case
+        assert stats.seeds_pruned_empty == rejected, case
+        if expected is None:
+            assert context is None, case
+            continue
+        s_star, two_hop, externals = expected
+        assert context.subgraph.vertices == [seed] + s_star + two_hop, case
+        assert context.candidate_mask == context.subgraph.mask_of_parents(s_star)
+        assert context.external_vertices == externals, case
 
 
 # --------------------------------------------------------------------------- #

@@ -87,13 +87,14 @@ def test_fp_external_pool_is_every_earlier_vertex_within_two_hops():
     """The ``fp`` baseline applies no count cut to ``V'_i``."""
     compared = 0
     for graph in random_graph_cases(8, max_vertices=14, seed=23):
-        position = prepare(graph).position
+        prepared = prepare(graph)
+        position = prepared.position
         for k in (1, 2, 3):
             for q in range(max(2 * k - 1, 2), 2 * k + 3):
                 for seed in graph.vertices():
                     for use_seed_pruning in (True, False):
                         context = build_fp_seed_context(
-                            graph, position, seed, k, q, use_seed_pruning
+                            prepared, seed, k, q, use_seed_pruning
                         )
                         if context is None:
                             continue
@@ -232,10 +233,9 @@ def test_pair_pruning_shrinks_subtask_candidates():
 
 def test_build_seed_context_returns_none_when_pruned_below_q():
     graph = generators.path_graph(8)
-    decomposition = core_decomposition(graph)
-    position = decomposition.position()
+    prepared = prepare(graph)
     context = build_seed_context(
-        graph, position, decomposition.order[0], 2, 6, EnumerationConfig.ours(), SearchStatistics()
+        prepared, prepared.decomposition.order[0], 2, 6, EnumerationConfig.ours(), SearchStatistics()
     )
     assert context is None
 
@@ -311,11 +311,12 @@ def test_neighbour_first_corollary_builds_the_interleaved_context():
     config = EnumerationConfig.ours()
     compared = cut_only = 0
     for graph in random_graph_cases(10, max_vertices=14, seed=18):
-        position = prepare(graph).position
+        prepared = prepare(graph)
+        position = prepared.position
         for k in (1, 2, 3):
             for q in range(max(2 * k - 1, 2), 2 * k + 4):
                 for seed in graph.vertices():
-                    context = build_seed_context(graph, position, seed, k, q, config)
+                    context = build_seed_context(prepared, seed, k, q, config)
                     reference = _interleaved_context_fields(graph, position, seed, k, q)
                     if reference is None:
                         assert context is None, (seed, k, q)
@@ -352,17 +353,18 @@ def test_seed_statistics_account_for_every_seed():
                     assert stats.vertices_pruned_by_corollary == 0
             runner = FPLike(graph, k, q)
             runner.run()
-            core_seeds = runner._core_graph.num_vertices if runner._decomposition else 0
+            core_seeds = runner._core_graph.num_vertices if runner._prepared else 0
             assert runner.statistics.seeds + runner.statistics.seeds_pruned_empty == core_seeds
 
 
 def test_seed_rejected_on_neighbours_counts_only_dropped_neighbours():
-    # Seed 0 of a 5-cycle has two later neighbours, 1 and 4, which share no
+    # The first seed of a 5-cycle has two later neighbours, which share no
     # neighbour: with k = 1, q = 3 both fail ``q - 2k = 1`` and the seed is
-    # rejected before its two-hop vertices 2 and 3 are looked at.
+    # rejected before its two later two-hop vertices are looked at.
     graph = generators.cycle_graph(5)
     stats = SearchStatistics()
-    position = list(range(graph.num_vertices))
-    assert build_seed_context(graph, position, 0, 1, 3, EnumerationConfig.ours(), stats) is None
+    prepared = prepare(graph)
+    seed = prepared.decomposition.order[0]
+    assert build_seed_context(prepared, seed, 1, 3, EnumerationConfig.ours(), stats) is None
     assert stats.seeds_pruned_empty == 1
     assert stats.vertices_pruned_by_corollary == 2

@@ -647,3 +647,20 @@ def test_concurrent_snapshots_and_drain_never_tear_the_file(tmp_path):
     assert len(document["hot_requests"]) == 1
     leftovers = [p for p in path.parent.iterdir() if p.name != path.name]
     assert leftovers == [], f"temp files left behind: {leftovers}"
+
+
+def test_retry_after_hint_reports_a_failing_service_and_falls_back(monkeypatch):
+    from types import SimpleNamespace
+
+    from repro.server import handlers
+
+    class BrokenService:
+        def retry_after_hint(self):
+            raise RuntimeError("hint unavailable")
+
+    events = []
+    monkeypatch.setattr(handlers, "log_event", lambda event, **fields: events.append((event, fields)))
+    handler = SimpleNamespace(server=SimpleNamespace(service=BrokenService()))
+    assert handlers.KPlexRequestHandler._retry_after_hint(handler) == 1
+    assert [event for event, _ in events] == ["retry_after_hint_failed"]
+    assert "hint unavailable" in events[0][1]["error"]

@@ -91,6 +91,26 @@ class StreamOutcome:
         self.elapsed_seconds: float = 0.0
         self.run: Optional[SolverRun] = None
 
+    def to_response(
+        self, request: EnumerationRequest, kplexes: List[KPlex]
+    ) -> EnumerationResponse:
+        """The response of a finished stream that yielded ``kplexes``.
+
+        Sorts ``kplexes`` in place when the request asks for sorted results.
+        """
+        if request.sort_results:
+            kplexes.sort(key=lambda plex: (plex.size, plex.vertices))
+        run = self.run
+        return EnumerationResponse(
+            kplexes=kplexes,
+            statistics=run.statistics() if run is not None else SearchStatistics(),
+            request=request,
+            solver=get_solver(request.solver).name,
+            termination=self.termination,
+            elapsed_seconds=self.elapsed_seconds,
+            solver_metadata=dict(run.metadata) if run is not None else {},
+        )
+
 
 class KPlexEngine:
     """Facade over the solver registry — the library's request/response API.
@@ -250,9 +270,9 @@ class KPlexEngine:
 
         The returned :class:`StreamOutcome` is populated as the iterator
         advances and is final once the iterator stops (or is closed): the
-        async job subsystem uses it to distinguish a completed enumeration
-        from a timeout, a result-limit stop or a cooperative cancellation
-        without materialising the results.
+        service's job path (:meth:`KPlexService.stream_run`) uses it to tell
+        a completed enumeration from a timeout, a result-limit stop or a
+        cooperative cancellation, and to build the response it caches.
         """
         outcome = StreamOutcome()
         return self._stream(request, outcome, cancel, on_progress), outcome
@@ -265,19 +285,8 @@ class KPlexEngine:
     ) -> EnumerationResponse:
         """Run a request to completion (or budget) and collect the response."""
         outcome = StreamOutcome()
-        kplexes = list(self._stream(request, outcome, cancel, on_progress))
-        if request.sort_results:
-            kplexes.sort(key=lambda plex: (plex.size, plex.vertices))
-        run = outcome.run
-        statistics = run.statistics() if run is not None else SearchStatistics()
-        return EnumerationResponse(
-            kplexes=kplexes,
-            statistics=statistics,
-            request=request,
-            solver=get_solver(request.solver).name,
-            termination=outcome.termination,
-            elapsed_seconds=outcome.elapsed_seconds,
-            solver_metadata=dict(run.metadata) if run is not None else {},
+        return outcome.to_response(
+            request, list(self._stream(request, outcome, cancel, on_progress))
         )
 
     def count(

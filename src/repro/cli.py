@@ -262,11 +262,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="file format for --register file specs",
     )
     http_parser.add_argument(
-        "--workers", type=int, default=4, help="service worker threads (default: 4)"
+        "--workers", type=int, default=4,
+        help="service worker threads, shared by solves and jobs (default: 4)",
     )
     http_parser.add_argument(
         "--queue-depth", type=int, default=32,
-        help="admitted requests allowed to wait beyond the workers (default: 32)",
+        help="admitted solves and jobs allowed to wait beyond the workers "
+             "(default: 32)",
     )
     http_parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -327,14 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     http_parser.add_argument(
         "--trace-capacity", type=int, default=256, metavar="N",
         help="completed request traces kept for GET /v1/trace (default: 256)",
-    )
-    http_parser.add_argument(
-        "--job-workers", type=int, default=2,
-        help="worker threads for async /v1/jobs (default: 2, separate from --workers)",
-    )
-    http_parser.add_argument(
-        "--job-queue", type=int, default=16,
-        help="async jobs allowed to queue beyond the running ones (default: 16)",
     )
     http_parser.add_argument(
         "--job-buffer", type=int, default=4096,
@@ -906,8 +900,6 @@ def _command_serve_http(args: argparse.Namespace) -> int:
         logger=logger,
         ready=ready,
         job_config=JobManagerConfig(
-            max_concurrent=args.job_workers,
-            max_queue_depth=args.job_queue,
             result_buffer=args.job_buffer,
             ttl_seconds=args.job_ttl,
         ),

@@ -165,9 +165,16 @@ class PreparedGraph:
             with self._lock:
                 rows = self._rows
                 if rows is None:
-                    bits = [1 << index for index in self.position]
-                    neighbors = self._graph.neighbors
-                    rows = [sum(map(bits.__getitem__, neighbors(v))) for v in range(len(bits))]
+                    # One byte buffer and one int conversion per row: O(m),
+                    # where summing ever wider ints is not.
+                    position, neighbors = self.position, self._graph.neighbors
+                    width, rows = (len(position) + 7) // 8, []
+                    for v in range(len(position)):
+                        row = bytearray(width)
+                        for u in neighbors(v):
+                            at = position[u]
+                            row[at >> 3] |= 1 << (at & 7)
+                        rows.append(int.from_bytes(row, "little"))
                     self._rows = rows
         return rows
 

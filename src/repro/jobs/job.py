@@ -29,6 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from concurrent.futures import Future
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..api.engine import CancellationToken
@@ -262,6 +263,8 @@ class Job:
         self.ttl_seconds = ttl_seconds
         self.results = ResultLog(limit=result_buffer)
         self.cancel_token = CancellationToken()
+        # The service pool's handle on this job's run, set once admitted.
+        self.future: Optional[Future] = None
         self._clock = clock
         self._lock = threading.Lock()
         self.state = JOB_PENDING

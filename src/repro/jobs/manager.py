@@ -1,24 +1,23 @@
-"""The :class:`JobManager`: async job admission, execution and lifecycle.
+"""The :class:`JobManager`: the table of async jobs and their lifecycle.
 
 Wraps a :class:`~repro.service.KPlexService` so long enumerations become
 first-class :class:`~repro.jobs.job.Job` records instead of pinned HTTP
-connections:
+connections.  A job is a streamed view of the service's own solve:
 
-* **admission** — at most ``max_concurrent + max_queue_depth`` live jobs;
-  beyond that :class:`~repro.errors.JobQueueFullError` (HTTP 429) is the
-  load-shedding signal, on a budget deliberately *separate* from the sync
-  ``/v1/solve`` pool so background jobs cannot starve interactive traffic;
-* **execution** — each job streams through the engine's lazy
-  ``stream_run`` with the service's default timeout, feeding the job's
-  progress counters and its bounded
-  :class:`~repro.jobs.job.ResultLog` (slow consumers pause the producer);
+* **admission and execution** — a job passes the same breaker, capacity
+  counter and worker pool as ``/v1/solve`` (beyond capacity,
+  :class:`~repro.errors.JobQueueFullError`, HTTP 429).  Its worker consumes
+  :meth:`KPlexService.stream_run`, which replays a cached answer or streams
+  the search and fills the cache.  Results feed the job's progress counters
+  and its bounded :class:`~repro.jobs.job.ResultLog`, so a slow stream
+  reader pauses the producer and keeps holding its service worker;
 * **cancellation** — ``DELETE``-driven :meth:`cancel` propagates through
-  the engine's cooperative token, so solver work actually stops;
+  the stream's cooperative token, so solver work actually stops;
 * **garbage collection** — terminal jobs expire after their TTL (results
   freed, record retained), and the table is capped at ``max_jobs``
   records with the oldest terminal ones evicted first;
 * **metrics** — jobs by state, queue depth, and a time-to-first-result
-  p50/p95 reservoir, exported as one JSON-ready snapshot.
+  histogram, exported as one JSON-ready snapshot.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import threading
 import time
 import uuid
 from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -37,6 +37,7 @@ from ..errors import (
     JobQueueFullError,
     ParameterError,
     ServiceClosedError,
+    ServiceOverloadError,
 )
 from ..graph import Graph
 from ..obs import Trace, TraceRecorder, activate, current_trace, log_event
@@ -61,13 +62,10 @@ DRAIN_POLICIES = (DRAIN_WAIT, DRAIN_CANCEL)
 class JobManagerConfig:
     """Tunable knobs of :class:`JobManager`.
 
+    Jobs run under the service's admission budget, so these shape the table.
+
     Attributes
     ----------
-    max_concurrent:
-        Worker threads running jobs (separate from the sync service pool).
-    max_queue_depth:
-        Jobs allowed to wait beyond the running ones; the admission bound
-        is ``max_concurrent + max_queue_depth`` live (non-terminal) jobs.
     result_buffer:
         Default per-job bound on buffered results (``None`` = unbounded);
         each submission may override it.
@@ -78,21 +76,11 @@ class JobManagerConfig:
         first beyond it).
     """
 
-    max_concurrent: int = 2
-    max_queue_depth: int = 16
     result_buffer: Optional[int] = 4096
     ttl_seconds: float = 300.0
     max_jobs: int = 1024
 
     def __post_init__(self) -> None:
-        if self.max_concurrent < 1:
-            raise ParameterError(
-                f"max_concurrent must be >= 1, got {self.max_concurrent}"
-            )
-        if self.max_queue_depth < 0:
-            raise ParameterError(
-                f"max_queue_depth must be >= 0, got {self.max_queue_depth}"
-            )
         if self.result_buffer is not None and self.result_buffer < 1:
             raise ParameterError(
                 f"result_buffer must be >= 1 or None, got {self.result_buffer}"
@@ -101,15 +89,12 @@ class JobManagerConfig:
             raise ParameterError(
                 f"ttl_seconds must be non-negative, got {self.ttl_seconds}"
             )
-        if self.max_jobs < self.max_concurrent + self.max_queue_depth:
-            raise ParameterError(
-                "max_jobs must cover the admission budget "
-                f"({self.max_concurrent + self.max_queue_depth}), got {self.max_jobs}"
-            )
+        if self.max_jobs < 1:
+            raise ParameterError(f"max_jobs must be >= 1, got {self.max_jobs}")
 
 
 class JobManager:
-    """Lifecycle table + executor for async enumeration jobs.
+    """Lifecycle table of async enumeration jobs run by a service.
 
     >>> from repro.service import KPlexService
     >>> from repro.jobs import JobManager
@@ -139,8 +124,6 @@ class JobManager:
         self._recorder = recorder
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._lock = threading.Lock()
-        self._pool: Optional[object] = None
-        self._pool_lock = threading.Lock()
         self._closed = False
         # Counters (under self._lock).
         self._submitted = 0
@@ -174,27 +157,12 @@ class JobManager:
         surface as :meth:`KPlexService.submit`).  ``result_buffer`` and
         ``ttl_seconds`` override the manager defaults for this job only.
 
-        Raises :class:`JobQueueFullError` when ``max_concurrent +
-        max_queue_depth`` jobs are already live, and
-        :class:`ServiceClosedError` after :meth:`close`.
+        Raises :class:`JobQueueFullError` when the service's ``max_workers +
+        max_queue_depth`` solves and jobs are already outstanding,
+        :class:`~repro.errors.CircuitOpenError` while its breaker sheds load,
+        and :class:`ServiceClosedError` after :meth:`close`.
         """
-        if self._closed:
-            raise ServiceClosedError("the job manager is closed")
-        if isinstance(request, EnumerationRequest):
-            if k is not None or q is not None or kwargs:
-                raise ParameterError(
-                    "pass either a finished EnumerationRequest or "
-                    "(graph, k, q, ...) keywords, not both"
-                )
-            coerced = request
-            graph_name = None
-        else:
-            if k is None or q is None:
-                raise ParameterError(
-                    "k and q are required when passing a graph or name"
-                )
-            coerced = self.service.request(request, k, q, **kwargs)
-            graph_name = request if isinstance(request, str) else None
+        coerced = self.service._coerce(request, k, q, kwargs)
         if result_buffer is not None and result_buffer < 1:
             raise ParameterError(
                 f"result_buffer must be >= 1, got {result_buffer}"
@@ -204,28 +172,14 @@ class JobManager:
                 f"ttl_seconds must be non-negative, got {ttl_seconds}"
             )
         spec = coerced.describe()
-        if graph_name is not None:
-            spec["graph"] = graph_name
-        # Shed load while the backend is unhealthy instead of queueing doomed
-        # work: the service's circuit breaker gates job admission too (the
-        # job that passes in the half-open state is the probe — its outcome
-        # is recorded in _run).
-        self.service.check_breaker()
-        capacity = self.config.max_concurrent + self.config.max_queue_depth
+        if isinstance(request, str):
+            spec["graph"] = request
         with self._lock:
+            # Checked under the lock close() takes, so every job that can
+            # still run is in the table close() settles.
+            if self._closed:
+                raise ServiceClosedError("the job manager is closed")
             self._gc_locked()
-            live = sum(1 for job in self._jobs.values() if not job.terminal)
-            if live >= capacity:
-                self._rejected += 1
-                if self.service.breaker is not None:
-                    # Passed the breaker gate but never ran: free the
-                    # half-open probe slot it may hold.
-                    self.service.breaker.cancel_probe()
-                raise JobQueueFullError(
-                    f"job manager at capacity: {live} jobs live "
-                    f"(max_concurrent={self.config.max_concurrent}, "
-                    f"max_queue_depth={self.config.max_queue_depth})"
-                )
             job_id = uuid.uuid4().hex[:16]
             while job_id in self._jobs:  # pragma: no cover - 64-bit collision
                 job_id = uuid.uuid4().hex[:16]
@@ -234,30 +188,46 @@ class JobManager:
                 coerced,
                 spec,
                 result_buffer=(
-                    result_buffer
-                    if result_buffer is not None
-                    else self.config.result_buffer
+                    self.config.result_buffer if result_buffer is None else result_buffer
                 ),
-                ttl_seconds=(
-                    ttl_seconds if ttl_seconds is not None else self.config.ttl_seconds
-                ),
+                ttl_seconds=self.config.ttl_seconds if ttl_seconds is None else ttl_seconds,
                 clock=self._clock,
             )
             self._jobs[job.id] = job
-            self._submitted += 1
         # Jobs outlive the submitting request: each run gets its own trace
         # (request_id = job id) that remembers the submitter's request_id.
         parent = current_trace()
+        try:
+            future = self.service._admit(
+                self._run, job, parent.request_id if parent is not None else None
+            )
+        except BaseException as exc:
+            # Never ran: settle the record (close() may be waiting on it)
+            # and drop it from the table.
+            job.cancel()
+            with self._lock:
+                self._jobs.pop(job.id, None)
+                if isinstance(exc, ServiceOverloadError):
+                    self._rejected += 1
+            if isinstance(exc, ServiceOverloadError):
+                raise JobQueueFullError(str(exc)) from exc
+            raise
+        job.future = future
+        with self._lock:
+            self._submitted += 1
+        future.add_done_callback(lambda done: self._settle_unrun(job, done))
         log_event(
             "job_submitted",
             job_id=job.id,
             graph=spec.get("graph"),
             solver=spec.get("solver"),
         )
-        self._ensure_pool().submit(
-            self._run, job, parent.request_id if parent is not None else None
-        )
         return job
+
+    def _settle_unrun(self, job: Job, future: Future) -> None:
+        """A job whose pool future was cancelled before it ran ends cancelled."""
+        if future.cancelled():
+            self._cancel(job)
 
     # ------------------------------------------------------------------ #
     # Table access
@@ -295,24 +265,31 @@ class JobManager:
 
         Propagates through the engine's cooperative token: a RUNNING job's
         solver stops between results (its progress counters freeze), a
-        PENDING one never starts.
+        PENDING one never starts and frees its service slot at once.
         """
-        job = self.get(job_id)
+        return self._cancel(self.get(job_id))
+
+    def _cancel(self, job: Job) -> bool:
         cancelled = job.cancel()
         if cancelled and job.state == JOB_CANCELLED:
-            # Cancelled before it ran; the runner will skip it.
+            # Cancelled before it ran: count it here and take its queued
+            # work off the service's pool (the runner would skip it).
             with self._lock:
                 self._cancelled += 1
+            if job.future is not None:
+                job.future.cancel()
         return cancelled
 
     def wait(self, job_id: str, timeout: Optional[float] = None) -> Job:
         """Block until the job is terminal (polling); returns the record."""
-        job = self.get(job_id)
+        return self._await(self.get(job_id), timeout)
+
+    def _await(self, job: Job, timeout: Optional[float] = None) -> Job:
         deadline = None if timeout is None else self._clock() + timeout
         while not job.terminal:
             if deadline is not None and self._clock() >= deadline:
                 raise TimeoutError(
-                    f"job {job_id} still {job.state} after {timeout}s"
+                    f"job {job.id} still {job.state} after {timeout}s"
                 )
             time.sleep(0.005)
         return job
@@ -396,33 +373,26 @@ class JobManager:
         """``True`` once :meth:`close` has begun; submissions are rejected."""
         return self._closed
 
-    def close(self, policy: str = DRAIN_WAIT, timeout: Optional[float] = None) -> None:
+    def close(self, policy: str = DRAIN_WAIT) -> None:
         """Stop accepting jobs and settle the live ones per ``policy``.
 
         ``"wait"`` lets running and queued jobs finish normally;
         ``"cancel"`` cancels every non-terminal job first (cooperatively —
-        running solvers stop between results).  Both then wait for the
-        worker pool to retire.  Idempotent.
+        running solvers stop between results).  Both then wait until every
+        live job is terminal.  The service stays open.  Idempotent.
         """
         if policy not in DRAIN_POLICIES:
             raise ParameterError(
                 f"unknown drain policy {policy!r}; expected one of {DRAIN_POLICIES}"
             )
-        with self._pool_lock:
-            # Under the pool lock so _ensure_pool's closed-check and pool
-            # creation can never interleave with shutdown.
+        with self._lock:
             self._closed = True
-        if policy == DRAIN_CANCEL:
-            with self._lock:
-                live = [job for job in self._jobs.values() if not job.terminal]
-            for job in live:
-                if job.cancel() and job.state == JOB_CANCELLED:
-                    with self._lock:
-                        self._cancelled += 1
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+            live = [job for job in self._jobs.values() if not job.terminal]
+        for job in live:
+            if policy == DRAIN_CANCEL:
+                self._cancel(job)
+        for job in live:
+            self._await(job)
 
     def __enter__(self) -> "JobManager":
         return self
@@ -433,19 +403,6 @@ class JobManager:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _ensure_pool(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        with self._pool_lock:
-            if self._pool is None:
-                if self._closed:
-                    raise ServiceClosedError("the job manager is closed")
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.config.max_concurrent,
-                    thread_name_prefix="kplex-jobs",
-                )
-            return self._pool
-
     @staticmethod
     def _encode(index: int, plex) -> Dict[str, object]:
         """One streamed k-plex as its NDJSON wire record."""
@@ -480,12 +437,8 @@ class JobManager:
             trace.finish()
 
     def _run_traced(self, job: Job) -> None:
-        breaker = self.service.breaker
         if not job.try_start():
-            # Cancelled while queued; the admission slot frees here (and so
-            # does any half-open probe slot the job held).
-            if breaker is not None:
-                breaker.cancel_probe()
+            # Cancelled while queued; the admission slot frees here.
             log_event("job_cancelled_before_start", job_id=job.id)
             return
         log_event("job_started", job_id=job.id)
@@ -513,10 +466,8 @@ class JobManager:
             job.finish(JOB_FAILED, error=f"{type(exc).__name__}: {exc}")
             with self._lock:
                 self._failed += 1
-            if breaker is not None and not isinstance(exc, ParameterError):
-                breaker.record_failure()
             log_event("job_failed", job_id=job.id, error=type(exc).__name__)
-            return
+            raise  # the service's dispatch records the failure
         statistics = None
         run = outcome.run
         if run is not None:
@@ -533,10 +484,6 @@ class JobManager:
             )
             with self._lock:
                 self._cancelled += 1
-            # A cancellation proves nothing about backend health; just
-            # release any probe slot so the breaker can settle.
-            if breaker is not None:
-                breaker.cancel_probe()
             log_event("job_cancelled", job_id=job.id, results=job.result_count)
         else:
             job.finish(
@@ -547,8 +494,6 @@ class JobManager:
             )
             with self._lock:
                 self._succeeded += 1
-            if breaker is not None:
-                breaker.record_success()
             log_event(
                 "job_succeeded",
                 job_id=job.id,

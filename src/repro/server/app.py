@@ -61,10 +61,10 @@ class KPlexHTTPServer(ThreadingHTTPServer):
         Callable receiving access-log lines; ``None`` keeps the server
         quiet (the stdlib default of spamming stderr is never used).
     job_config:
-        Budgets of the async ``/v1/jobs`` manager (worker threads, queue
-        depth, result buffering, TTL); ``None`` uses the defaults.  The
-        job pool is deliberately separate from the sync solve pool so
-        background jobs never starve interactive requests.
+        The async ``/v1/jobs`` table's result buffering, TTL and record
+        cap; ``None`` uses the defaults.  Jobs have no pool of their own:
+        they run on the service's workers under its admission budget, so a
+        job whose spec is cached streams the cached answer.
     drain_jobs:
         What :meth:`drain` does with live jobs: ``"wait"`` (default) lets
         them finish, ``"cancel"`` stops them cooperatively.  Streaming

@@ -7,8 +7,8 @@ a :class:`~repro.service.catalog.GraphCatalog` of named graphs, with
 * a bounded **worker pool** (threads — solvers release the GIL poorly, but
   the pool gives concurrency across cache hits, I/O-bound callers and the
   process-pool ``parallel`` solver, and bounds resource usage) plus
-  **admission control**: at most ``max_workers + max_queue_depth`` requests
-  are outstanding, everything beyond is rejected with
+  **admission control**: at most ``max_workers + max_queue_depth`` solves
+  and jobs are outstanding, everything beyond is rejected with
   :class:`~repro.errors.ServiceOverloadError` instead of queueing unboundedly;
 * **cross-request caching**: a byte-budgeted
   :class:`~repro.service.cache.ResultCache` of completed responses;
@@ -28,12 +28,14 @@ import math
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Union
 
-from ..api.engine import CancellationToken, KPlexEngine
+from ..api.engine import CancellationToken, KPlexEngine, StreamOutcome
 from ..api.request import EnumerationRequest
 from ..api.response import (
+    TERMINATION_CANCELLED,
     TERMINATION_COMPLETED,
     TERMINATION_RESULT_LIMIT,
     TERMINATION_TIMEOUT,
@@ -45,6 +47,7 @@ from ..errors import (
     ServiceClosedError,
     ServiceOverloadError,
 )
+from ..core.kplex import KPlex
 from ..graph import Graph
 from ..obs import (
     DEFAULT_COUNT_BUCKETS,
@@ -238,12 +241,7 @@ class ServiceMetrics:
             self.errors += 1
 
     def record_outcome(
-        self,
-        latency_seconds: float,
-        outcome: Optional[str],
-        termination: Optional[str] = None,
-        error: bool = False,
-        started: bool = True,
+        self, latency_seconds: float, error: bool = False, started: bool = True
     ) -> None:
         """One admitted request finished (successfully or not).
 
@@ -258,8 +256,12 @@ class ServiceMetrics:
                 self.running -= 1
             if error:
                 self.errors += 1
-                return
-            self.completed += 1
+            else:
+                self.completed += 1
+
+    def record_served(self, outcome: str, termination: Optional[str] = None) -> None:
+        """One answer was served as a cache hit, a coalesced wait or a miss."""
+        with self._lock:
             if outcome == OUTCOME_HIT:
                 self.cache_hits += 1
             elif outcome == OUTCOME_COALESCED:
@@ -352,6 +354,44 @@ class _Inflight:
         self.event = threading.Event()
         self.response: Optional[EnumerationResponse] = None
         self.exception: Optional[BaseException] = None
+
+
+def _replay(
+    response: EnumerationResponse, cancel: Optional[CancellationToken]
+) -> "tuple[Iterator[KPlex], StreamOutcome]":
+    """A cached response as a stream: its k-plexes, stopped by ``cancel``."""
+    outcome = StreamOutcome()
+    outcome.termination = response.termination
+    outcome.elapsed_seconds = response.elapsed_seconds
+
+    def replay() -> Iterator[KPlex]:
+        for plex in response.kplexes:
+            if cancel is not None and cancel.cancelled:
+                outcome.termination = TERMINATION_CANCELLED
+                return
+            yield plex
+
+    return replay(), outcome
+
+
+def _store_when_exhausted(
+    cache: ResultCache,
+    key: Hashable,
+    request: EnumerationRequest,
+    iterator: Iterator[KPlex],
+    outcome: StreamOutcome,
+) -> Iterator[KPlex]:
+    """Pass a search stream through; store its response once it is exhausted."""
+    kplexes: List[KPlex] = []
+    with closing(iterator):
+        for plex in iterator:
+            kplexes.append(plex)
+            yield plex
+    # Reached only once the search stream is exhausted (a consumer that
+    # closes this generator early leaves at the yield), so the termination
+    # is read only now: it starts out as "completed".  store() keeps only
+    # completed and result-limit responses.
+    cache.store(request, outcome.to_response(request, kplexes), key=key)
 
 
 class KPlexService:
@@ -455,55 +495,13 @@ class KPlexService:
         """Admit a request and return a future for its response.
 
         Raises :class:`ServiceOverloadError` when ``max_workers +
-        max_queue_depth`` requests are already outstanding — graceful
-        rejection is the service's backpressure signal.
+        max_queue_depth`` requests and jobs are already outstanding —
+        graceful rejection is the service's backpressure signal.
         """
-        if self._closed:
-            raise ServiceClosedError(
-                "the service is closed and no longer accepts submissions"
-            )
         request = self._coerce(request, k, q, kwargs)
-        # Admission is microseconds of lock work: it annotates the active
-        # span instead of opening its own (span creation would dominate it).
-        active_span = current_span()
-        self.check_breaker()
-        capacity = self.config.max_workers + self.config.max_queue_depth
-        try:
-            with self._admission_lock:
-                if self._outstanding >= capacity:
-                    self._metrics.record_rejected()
-                    if active_span is not None:
-                        active_span.set(admission_rejected=True)
-                    raise ServiceOverloadError(
-                        f"service at capacity: {self._outstanding} requests outstanding "
-                        f"(max_workers={self.config.max_workers}, "
-                        f"max_queue_depth={self.config.max_queue_depth})"
-                    )
-                self._outstanding += 1
-                if active_span is not None:
-                    active_span.set(outstanding=self._outstanding)
-        except BaseException:
-            # The request passed the breaker gate but never ran: release a
-            # half-open probe slot it may hold, or the breaker jams open.
-            if self._breaker is not None:
-                self._breaker.cancel_probe()
-            raise
-        self._metrics.record_admitted()
-        try:
-            # Thread pools do not inherit contextvars: hand the active span
-            # (and the submit instant, for the queue-wait time) to _execute.
-            future = self._ensure_pool().submit(
-                self._execute, request, active_span, time.time()
-            )
-        except BaseException:
-            with self._admission_lock:
-                self._outstanding -= 1
-            self._metrics.record_outcome(0.0, None, error=True, started=False)
-            if self._breaker is not None:
-                self._breaker.cancel_probe()
-            raise
-        future.add_done_callback(self._on_done)
-        return future
+        # Thread pools do not inherit contextvars: hand the active span (and
+        # the submit instant, for the queue-wait time) to _execute.
+        return self._admit(self._execute, request, current_span(), time.time())
 
     def solve(
         self,
@@ -557,23 +555,33 @@ class KPlexService:
         request: EnumerationRequest,
         cancel: Optional["CancellationToken"] = None,
         on_progress: Optional[Callable] = None,
-    ):
-        """Stream a request through the engine with the service's policies.
+    ) -> "tuple[Iterator[KPlex], StreamOutcome]":
+        """Stream a request's k-plexes, answering from the result cache first.
 
-        Applies the service's default timeout, then returns the engine's
-        lazy ``(iterator, outcome)`` pair (see
-        :meth:`KPlexEngine.stream_run`).  Deliberately bypasses the worker
-        pool, admission control and the result cache: the async
-        job subsystem (:mod:`repro.jobs`) carries its own concurrency and
-        queue budget, and streamed results are consumed incrementally
-        rather than materialised into a cacheable response.
+        Applies the default timeout and returns a lazy ``(iterator, outcome)``
+        pair like :meth:`KPlexEngine.stream_run`.  A hit replays the cached
+        k-plexes without a search (``cancel`` still stops it; ``on_progress``
+        fires only during a search).  A miss streams the search and, once
+        that stream is exhausted with a cacheable termination, stores its
+        response.  Both count in the hit and miss counters.  Jobs run this
+        on a worker admitted like :meth:`submit`; a direct call is not.
         """
-        if self._closed:
-            raise ServiceClosedError(
-                "the service is closed and no longer accepts submissions"
-            )
         request = self._apply_defaults(request)
-        return self._engine.stream_run(request, cancel=cancel, on_progress=on_progress)
+        cache = self._result_cache
+        if cache is not None:
+            # Derived once, before the run, as in _solve_with_cache.
+            key = result_cache_key(request)
+            cached = cache.lookup(request, key=key)
+            if cached is not None:
+                self._metrics.record_served(OUTCOME_HIT)
+                return _replay(cached, cancel)
+        self._metrics.record_served(OUTCOME_MISS)
+        iterator, outcome = self._engine.stream_run(
+            request, cancel=cancel, on_progress=on_progress
+        )
+        if cache is None:
+            return iterator, outcome
+        return _store_when_exhausted(cache, key, request, iterator, outcome), outcome
 
     def invalidate(self, name: str) -> int:
         """Retire every cached artefact of a catalog graph; return its epoch.
@@ -587,23 +595,6 @@ class KPlexService:
         if self._result_cache is not None:
             self._result_cache.invalidate_graph(entry.graph)
         return epoch
-
-    def check_breaker(self) -> None:
-        """Raise :class:`CircuitOpenError` while the circuit breaker sheds load.
-
-        The admission gate shared by the sync path (:meth:`submit`) and the
-        async job path (:class:`~repro.jobs.manager.JobManager`).  In the
-        half-open state exactly one caller per cooldown window passes as the
-        probe; its recorded outcome closes or re-opens the circuit.
-        """
-        if self._breaker is not None and not self._breaker.allow():
-            retry_after = max(1.0, self._breaker.retry_after_seconds())
-            self._metrics.record_rejected()
-            raise CircuitOpenError(
-                "circuit breaker open: the enumeration backend is unhealthy "
-                f"(state={self._breaker.state}); retry in {retry_after:.0f}s",
-                retry_after=retry_after,
-            )
 
     @property
     def breaker(self) -> Optional[CircuitBreaker]:
@@ -714,13 +705,92 @@ class KPlexService:
                 )
             return self._pool
 
-    def _on_done(self, future: "Future[EnumerationResponse]") -> None:
+    def _admit(self, task: Callable[..., object], *args: object) -> Future:
+        """Run ``task(*args)`` on the pool past the breaker and capacity gates.
+
+        The one admission path of solves and jobs.  A half-open breaker lets
+        one caller per cooldown through as the probe; its outcome closes or
+        re-opens the circuit.
+        """
+        if self._closed:
+            raise ServiceClosedError(
+                "the service is closed and no longer accepts submissions"
+            )
+        # Admission is microseconds of lock work: it annotates the active
+        # span instead of opening its own (span creation would dominate it).
+        active_span = current_span()
+        if self._breaker is not None and not self._breaker.allow():
+            retry_after = max(1.0, self._breaker.retry_after_seconds())
+            self._metrics.record_rejected()
+            raise CircuitOpenError(
+                "circuit breaker open: the enumeration backend is unhealthy "
+                f"(state={self._breaker.state}); retry in {retry_after:.0f}s",
+                retry_after=retry_after,
+            )
+        capacity = self.config.max_workers + self.config.max_queue_depth
+        try:
+            with self._admission_lock:
+                if self._outstanding >= capacity:
+                    self._metrics.record_rejected()
+                    if active_span is not None:
+                        active_span.set(admission_rejected=True)
+                    raise ServiceOverloadError(
+                        f"service at capacity: {self._outstanding} requests outstanding "
+                        f"(max_workers={self.config.max_workers}, "
+                        f"max_queue_depth={self.config.max_queue_depth})"
+                    )
+                self._outstanding += 1
+                if active_span is not None:
+                    active_span.set(outstanding=self._outstanding)
+        except BaseException:
+            # The request passed the breaker gate but never ran: release a
+            # half-open probe slot it may hold, or the breaker jams open.
+            if self._breaker is not None:
+                self._breaker.cancel_probe()
+            raise
+        self._metrics.record_admitted()
+        try:
+            future = self._ensure_pool().submit(self._dispatch, task, args, time.time())
+        except BaseException:
+            with self._admission_lock:
+                self._outstanding -= 1
+            self._metrics.record_outcome(0.0, error=True, started=False)
+            if self._breaker is not None:
+                self._breaker.cancel_probe()
+            raise
+        future.add_done_callback(self._on_done)
+        return future
+
+    def _dispatch(self, task: Callable[..., object], args: tuple, submitted_at: float) -> object:
+        """Run one admitted task on a worker; record its latency and health."""
+        started = time.perf_counter()
+        self._metrics.record_queue_wait(time.time() - submitted_at)
+        self._metrics.record_started()
+        try:
+            value = task(*args)
+        except BaseException as exc:
+            self._metrics.record_outcome(time.perf_counter() - started, error=True)
+            # Bad parameters say nothing about backend health; everything
+            # else (solver crashes, poison tasks, engine errors) counts
+            # toward opening the circuit.
+            if self._breaker is not None and not isinstance(exc, ParameterError):
+                self._breaker.record_failure()
+            raise
+        self._metrics.record_outcome(time.perf_counter() - started)
+        if self._breaker is not None:
+            self._breaker.record_success()
+        return value
+
+    def _on_done(self, future: Future) -> None:
         with self._admission_lock:
             self._outstanding -= 1
         if future.cancelled():
-            # close(drain=False) cancelled it before _execute ran; settle the
-            # in-flight gauge the admission path already incremented.
+            # Cancelled before _dispatch ran (close(drain=False), or a job
+            # cancelled while queued): settle the in-flight gauge the
+            # admission path incremented and free a probe slot it may hold.
             self._metrics.record_cancelled()
+            if self._breaker is not None:
+                self._breaker.cancel_probe()
 
     def _apply_defaults(self, request: EnumerationRequest) -> EnumerationRequest:
         if (
@@ -739,63 +809,34 @@ class KPlexService:
     def _execute(
         self,
         request: EnumerationRequest,
-        parent_span: Optional[object] = None,
-        submitted_at: Optional[float] = None,
+        parent_span: Optional[object],
+        submitted_at: float,
     ) -> EnumerationResponse:
         # Re-enter the submitter's trace context: worker threads inherit
         # nothing, so the span captured in submit() is activated explicitly.
-        with activate(parent_span):  # type: ignore[arg-type]
-            return self._execute_traced(request, submitted_at)
-
-    def _execute_traced(
-        self, request: EnumerationRequest, submitted_at: Optional[float] = None
-    ) -> EnumerationResponse:
-        started = time.perf_counter()
-        now = time.time()
-        if submitted_at is not None:
-            self._metrics.record_queue_wait(now - submitted_at)
-        self._metrics.record_started()
-        with span("execute", solver=request.solver) as execute_span:
-            if submitted_at is not None and execute_span.recorded:
+        with activate(parent_span), span(  # type: ignore[arg-type]
+            "execute", solver=request.solver
+        ) as execute_span:
+            if execute_span.recorded:
                 # An attribute, not a child span: the wait is pure queueing
                 # with no inner structure, and the cached path is too hot to
                 # pay span bookkeeping for it.
                 execute_span.attributes["queue_wait_ms"] = round(
-                    (now - submitted_at) * 1000.0, 3
+                    (time.time() - submitted_at) * 1000.0, 3
                 )
-            outcome: Optional[str] = None
-            termination: Optional[str] = None
             try:
                 request = self._apply_defaults(request)
                 response, outcome = self._solve_with_cache(request)
-                termination = response.termination
-                execute_span.set(outcome=outcome, termination=termination)
-                self._metrics.observe_response(response)
-                return response
             except BaseException as exc:
-                self._metrics.record_outcome(
-                    time.perf_counter() - started, outcome, error=True
-                )
                 log_event(
-                    "request_error",
-                    solver=request.solver,
-                    error=type(exc).__name__,
+                    "request_error", solver=request.solver, error=type(exc).__name__
                 )
-                # Bad parameters say nothing about backend health; everything
-                # else (solver crashes, poison tasks, engine errors) counts
-                # toward opening the circuit.
-                if self._breaker is not None and not isinstance(exc, ParameterError):
-                    self._breaker.record_failure()
                 raise
-            finally:
-                # Success path only: the error path already recorded itself
-                # (and left termination unset).
-                if termination is not None:
-                    self._metrics.record_outcome(
-                        time.perf_counter() - started, outcome, termination
-                    )
-                    if self._breaker is not None:
-                        self._breaker.record_success()
+            execute_span.set(outcome=outcome, termination=response.termination)
+            self._metrics.record_served(outcome, response.termination)
+            self._metrics.observe_response(response)
+            return response
+
 
     def _solve_with_cache(
         self, request: EnumerationRequest

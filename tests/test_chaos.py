@@ -18,7 +18,6 @@ import pytest
 
 from repro.errors import CircuitOpenError, RemoteServiceError, SnapshotError
 from repro.graph import generators
-from repro.jobs import JobManagerConfig
 from repro.resilience import RetryPolicy, fault_injector, resilience_stats
 from repro.server import (
     ServiceClient,
@@ -175,12 +174,8 @@ def test_client_retry_rides_out_an_open_breaker():
 
 
 def test_queue_full_429_carries_a_derived_retry_after():
-    service = make_service()
-    server = start_server(
-        service,
-        port=0,
-        job_config=JobManagerConfig(max_concurrent=1, max_queue_depth=0),
-    )
+    service = make_service(max_workers=1, max_queue_depth=0)
+    server = start_server(service, port=0)
     client = ServiceClient(server.url)
     client.wait_ready()
     try:

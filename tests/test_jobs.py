@@ -2,10 +2,13 @@
 
 import threading
 import time
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
-from repro.api import EnumerationRequest
+from repro.api import CancellationToken, EnumerationRequest, KPlexEngine
+from repro.baselines.brute_force import brute_force_vertex_sets
 from repro.errors import (
     JobNotFoundError,
     JobQueueFullError,
@@ -35,11 +38,12 @@ from repro.service import KPlexService, ServiceConfig
 EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
 
 
-def make_manager(**config_kwargs) -> JobManager:
-    service = KPlexService(config=ServiceConfig(max_workers=2))
+def make_manager(max_jobs=1024, **service_kwargs) -> JobManager:
+    service_kwargs.setdefault("max_workers", 2)
+    service = KPlexService(config=ServiceConfig(**service_kwargs))
     service.catalog.register("toy", EDGES)
     service.catalog.register("busy", generators.gnm_random(60, 400, seed=5))
-    return JobManager(service, JobManagerConfig(**config_kwargs))
+    return JobManager(service, JobManagerConfig(max_jobs=max_jobs))
 
 
 def toy_request() -> EnumerationRequest:
@@ -229,7 +233,7 @@ def test_manager_accepts_prebuilt_request_but_not_both():
 
 
 def test_manager_queue_budget_rejects_beyond_capacity():
-    manager = make_manager(max_concurrent=1, max_queue_depth=1)
+    manager = make_manager(max_workers=1, max_queue_depth=1)
     try:
         jobs = [manager.submit("busy", k=2, q=4) for _ in range(2)]
         with pytest.raises(JobQueueFullError):
@@ -243,7 +247,7 @@ def test_manager_queue_budget_rejects_beyond_capacity():
 
 
 def test_manager_cancel_running_job_stops_solver_progress():
-    manager = make_manager(max_concurrent=1)
+    manager = make_manager(max_workers=1)
     try:
         job = manager.submit("busy", k=2, q=4)
         deadline = time.monotonic() + 5
@@ -266,7 +270,7 @@ def test_manager_counts_only_results_delivered_before_cancel():
     # A reader that never reads pins the full buffer, so the producer blocks
     # in append; cancelling it there must not count the undelivered result.
     limit = 4
-    manager = make_manager(max_concurrent=1)
+    manager = make_manager(max_workers=1)
     try:
         blocker = manager.submit("busy", k=2, q=4)
         job = manager.submit("busy", k=2, q=4, result_buffer=limit)
@@ -359,7 +363,7 @@ def test_manager_ttl_expires_terminal_jobs():
 
 
 def test_manager_retention_cap_evicts_oldest_terminal_jobs():
-    manager = make_manager(max_concurrent=2, max_queue_depth=2, max_jobs=4)
+    manager = make_manager(max_workers=2, max_queue_depth=2, max_jobs=4)
     try:
         ids = []
         for _ in range(6):
@@ -396,7 +400,7 @@ def test_manager_metrics_shape_and_ttfr_percentiles():
 
 
 def test_manager_close_wait_lets_jobs_finish():
-    manager = make_manager(max_concurrent=1)
+    manager = make_manager(max_workers=1)
     job = manager.submit("busy", k=2, q=4)
     manager.close(policy="wait")
     assert job.state == JOB_SUCCEEDED
@@ -405,7 +409,7 @@ def test_manager_close_wait_lets_jobs_finish():
 
 
 def test_manager_close_cancel_stops_jobs():
-    manager = make_manager(max_concurrent=1, max_queue_depth=4)
+    manager = make_manager(max_workers=1, max_queue_depth=4)
     jobs = [manager.submit("busy", k=2, q=4) for _ in range(3)]
     manager.close(policy="cancel")
     assert all(job.terminal for job in jobs)
@@ -414,18 +418,17 @@ def test_manager_close_cancel_stops_jobs():
         manager.close(policy="bogus")
 
 
-def test_manager_close_flag_is_guarded_by_pool_lock():
+def test_manager_close_racing_submitters_settles_every_job():
     """Regression: ``close()`` used to set ``_closed`` without a lock.
 
-    ``_ensure_pool`` checks the flag under ``_pool_lock`` before creating
-    a worker pool; the write must take the same lock so the closed-check
-    and pool creation can never interleave with shutdown.  Closing from
-    many threads while submitters race must end with every submission
-    either completed or rejected, and no pool left behind.
+    ``submit`` checks the flag under the table lock before it adds a job,
+    and ``close`` sets it under the same lock, so every job that can still
+    run is in the table ``close`` settles.  Closing while submitters race
+    must end with every submission either completed or rejected.
     """
     import threading
 
-    manager = make_manager(max_concurrent=2, max_queue_depth=8)
+    manager = make_manager(max_workers=2, max_queue_depth=8)
     outcomes = []
     outcomes_lock = threading.Lock()
     start = threading.Barrier(4)
@@ -451,7 +454,6 @@ def test_manager_close_flag_is_guarded_by_pool_lock():
     for thread in threads:
         thread.join(timeout=30)
     assert manager.closed
-    assert manager._pool is None
     assert len(outcomes) == 3
     for kind, job in outcomes:
         if kind == "submitted":
@@ -475,14 +477,156 @@ def test_manager_results_identical_to_sync_service_run():
         manager.close()
 
 
+# --------------------------------------------------------------------------- #
+# Jobs and the service's result cache
+# --------------------------------------------------------------------------- #
+def cached_service():
+    """A service with one small graph whose answer brute force can check."""
+    service = KPlexService(config=ServiceConfig(max_workers=1))
+    graph = generators.erdos_renyi(12, 0.5, seed=0)
+    service.catalog.register("g", graph)
+    return service, brute_force_vertex_sets(graph, 2, 4)
+
+
+def test_job_on_a_cached_spec_streams_without_a_second_search():
+    service, expected = cached_service()
+    assert {frozenset(p.vertices) for p in service.solve("g", k=2, q=4)} == expected
+    hits = service.metrics()["cache_hits"]
+    with mock.patch.object(
+        KPlexEngine, "stream_run", autospec=True, side_effect=KPlexEngine.stream_run
+    ) as spy:
+        with JobManager(service) as manager:
+            job = manager.submit("g", k=2, q=4)
+            records = [entry for _index, entry in job.iter_results()]
+            done = manager.wait(job.id, timeout=10)
+    assert spy.call_count == 0
+    assert service.metrics()["cache_hits"] == hits + 1
+    assert done.state == JOB_SUCCEEDED and done.result_count == len(records)
+    assert {frozenset(entry["kplex"]) for entry in records} == expected
+    service.close()
+
+
+def test_completed_job_fills_the_cache_for_the_next_solve():
+    service, expected = cached_service()
+    with JobManager(service) as manager:
+        job = manager.submit("g", k=2, q=4)
+        assert manager.wait(job.id, timeout=10).state == JOB_SUCCEEDED
+    misses = service.metrics()["cache_misses"]
+    response = service.solve("g", k=2, q=4)
+    metrics = service.metrics()
+    assert (metrics["cache_misses"], metrics["cache_hits"]) == (misses, 1)
+    assert {frozenset(p.vertices) for p in response.kplexes} == expected
+    service.close()
+
+
+def _assert_next_solve_misses(service, expected):
+    misses = service.metrics()["cache_misses"]
+    response = service.solve("g", k=2, q=4)
+    assert service.metrics()["cache_misses"] == misses + 1
+    assert response.termination == "completed"
+    assert {frozenset(p.vertices) for p in response.kplexes} == expected
+
+
+def test_stream_closed_before_exhaustion_stores_nothing():
+    service, expected = cached_service()
+    iterator, _outcome = service.stream_run(service.request("g", k=2, q=4))
+    next(iterator)
+    iterator.close()
+    _assert_next_solve_misses(service, expected)
+    service.close()
+
+
+def test_cancelled_stream_read_to_its_end_stores_nothing():
+    # Exhausted, but the termination it ends with is "cancelled".
+    service, expected = cached_service()
+    token = CancellationToken()
+    iterator, outcome = service.stream_run(
+        service.request("g", k=2, q=4), cancel=token
+    )
+    next(iterator)
+    token.cancel()
+    assert list(iterator) == [] and outcome.termination == "cancelled"
+    _assert_next_solve_misses(service, expected)
+    service.close()
+
+
+def test_cancelled_or_timed_out_job_stores_nothing():
+    service, expected = cached_service()
+    with JobManager(service) as manager:
+        timed_out = manager.submit("g", k=2, q=4, timeout_seconds=0.0)
+        assert manager.wait(timed_out.id, timeout=10).termination == "timeout"
+        cancelled = manager.submit("g", k=2, q=4, result_buffer=1)
+        pin = cancelled.results.attach(0)  # holds the job at its second result
+        deadline = time.monotonic() + 10
+        while cancelled.result_count == 0 and time.monotonic() < deadline:
+            time.sleep(0.002)
+        manager.cancel(cancelled.id)
+        cancelled.results.detach(pin)
+        assert manager.wait(cancelled.id, timeout=10).state == JOB_CANCELLED
+    _assert_next_solve_misses(service, expected)
+    service.close()
+
+
+@contextmanager
+def busy_worker(manager):
+    """Hold the service's only worker with a job whose one reader never reads."""
+    blocker = manager.submit("busy", k=2, q=4, result_buffer=1)
+    pin = blocker.results.attach(0)
+    try:
+        yield blocker
+    finally:
+        manager.cancel(blocker.id)
+        blocker.results.detach(pin)
+
+
+def test_job_future_cancelled_before_it_runs_ends_cancelled():
+    manager = make_manager(max_workers=1)
+    closer = threading.Thread(target=manager.service.close, kwargs={"drain": False})
+    with busy_worker(manager):
+        queued = manager.submit("toy", k=2, q=3)
+        closer.start()
+        deadline = time.monotonic() + 10
+        while not queued.terminal and time.monotonic() < deadline:
+            time.sleep(0.002)
+    closer.join(timeout=10)
+    assert not closer.is_alive()
+    assert queued.state == JOB_CANCELLED
+    assert manager.metrics()["cancelled"] == 2
+    manager.close()
+
+
+def test_cancelled_pending_job_frees_its_service_slot():
+    manager = make_manager(max_workers=1, max_queue_depth=1)
+    with busy_worker(manager):
+        queued = manager.submit("toy", k=2, q=3)
+        with pytest.raises(JobQueueFullError):
+            manager.submit("toy", k=2, q=3)
+        assert manager.cancel(queued.id) and queued.state == JOB_CANCELLED
+        solve = manager.service.submit("toy", k=2, q=3)  # admitted in its place
+    assert solve.result(timeout=10).count == 1
+    assert manager.metrics()["cancelled"] == 2
+    manager.close()
+    manager.service.close()
+
+
+def test_job_cancelled_while_queued_frees_the_breaker_probe():
+    manager = make_manager(
+        max_workers=1, breaker_failure_threshold=1, breaker_cooldown_seconds=0.05
+    )
+    with busy_worker(manager):
+        manager.service.breaker.record_failure()  # open; half-open after the cooldown
+        time.sleep(0.1)
+        probe = manager.submit("toy", k=2, q=3)  # takes the one probe slot, queued
+        manager.cancel(probe.id)
+        manager.cancel(manager.submit("toy", k=2, q=3).id)  # a new probe may pass
+    manager.close()
+    manager.service.close()
+
+
 def test_manager_config_validation():
-    with pytest.raises(ParameterError):
-        JobManagerConfig(max_concurrent=0)
-    with pytest.raises(ParameterError):
-        JobManagerConfig(max_queue_depth=-1)
     with pytest.raises(ParameterError):
         JobManagerConfig(result_buffer=0)
     with pytest.raises(ParameterError):
         JobManagerConfig(ttl_seconds=-1)
     with pytest.raises(ParameterError):
-        JobManagerConfig(max_jobs=1, max_concurrent=2, max_queue_depth=2)
+        JobManagerConfig(max_jobs=0)

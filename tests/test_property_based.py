@@ -33,7 +33,7 @@ from repro.core.seeds import (
     iter_subtasks,
 )
 from repro.core.stats import SearchStatistics
-from repro.graph import Graph, generators
+from repro.graph import generators
 from repro.graph.bitset import iter_bits, mask_from_indices
 from repro.graph.core_decomposition import (
     core_decomposition,
@@ -43,7 +43,7 @@ from repro.graph.core_decomposition import (
 from repro.graph.dense import DenseSubgraph
 from repro.graph.prepared import PreparedGraph, prepare
 from repro.graph.properties import is_connected_subset, subset_diameter
-from repro.jobs import JobManager, JobManagerConfig
+from repro.jobs import JobManager
 from repro.parallel import ParallelConfig, parallel_enumerate_maximal_kplexes
 from repro.server import ServiceClient, start_server
 from repro.service import KPlexService, ServiceConfig
@@ -65,18 +65,16 @@ SETTINGS = settings(
 
 @st.composite
 def small_graphs(draw, max_vertices=10):
-    """Random simple graphs with 4..max_vertices vertices."""
+    """Erdős–Rényi graphs of 4..max_vertices vertices at edge probability 0.4..0.7.
+
+    The probability is drawn, as in ``dense_cases``, so that some draws
+    make Corollary 5.2's fixpoint run more than one round; sparse graphs
+    almost never do.
+    """
     n = draw(st.integers(min_value=4, max_value=max_vertices))
-    possible_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(
-        st.lists(
-            st.sampled_from(possible_edges),
-            min_size=0,
-            max_size=len(possible_edges),
-            unique=True,
-        )
-    )
-    return Graph.from_edges(chosen, vertices=range(n))
+    probability = draw(st.sampled_from((0.4, 0.5, 0.6, 0.7)))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    return generators.erdos_renyi(n, probability, seed=seed)
 
 
 @st.composite
@@ -214,7 +212,7 @@ def refined_nodes(draw):
     about a third of the nodes are not leaves.
     """
     n = draw(st.integers(min_value=8, max_value=14))
-    probability = draw(st.sampled_from((0.4, 0.5, 0.6, 0.7)))
+    probability = draw(st.sampled_from((0.5, 0.3, 0.7, 0.1, 0.9)))
     graph = generators.erdos_renyi(n, probability, seed=draw(st.integers(0, 2**16)))
     k = draw(st.integers(min_value=1, max_value=4))
     dense = DenseSubgraph(graph, list(graph.vertices()))
@@ -438,7 +436,7 @@ def dense_cases(draw):
     non-empty exclusive sets, which ``small_graphs`` rarely yields.
     """
     n = draw(st.integers(min_value=8, max_value=14))
-    probability = draw(st.sampled_from((0.4, 0.5, 0.6, 0.7)))
+    probability = draw(st.sampled_from((0.5, 0.3, 0.7, 0.1, 0.9)))
     seed = draw(st.integers(min_value=0, max_value=2**16))
     k = draw(st.integers(min_value=1, max_value=3))
     q = draw(st.integers(min_value=max(2 * k - 1, 2), max_value=k + 4))
@@ -565,7 +563,8 @@ def test_seed_selection_matches_its_set_definitions(n, p, graph_seed):
     from graphs too sparse for them), every seed, k = 1..4,
     q = 2k - 1..2k + 4, with and without Corollary 5.2: the kept neighbours
     (``S*``), two-hop vertices and externals, and the two seed counters,
-    match the set definitions of the module docstring.  Density is drawn so
+    match the set definitions of the module docstring; every row equals its
+    vertex's neighbour set over degeneracy positions.  Density is drawn so
     that Corollary 5.2's fixpoint takes several rounds.
     """
     graph = generators.erdos_renyi(n, p, seed=graph_seed)
@@ -574,6 +573,11 @@ def test_seed_selection_matches_its_set_definitions(n, p, graph_seed):
         with mock.patch("repro.graph.prepared.ROW_BYTES_PER_EDGE", row_bytes):
             prepared = PreparedGraph(graph)
             assert (prepared.rows is None) == (row_bytes == 0 or graph.num_edges == 0)
+            if prepared.rows is not None:
+                assert prepared.rows == [
+                    sum(1 << position[u] for u in graph.neighbors(v))
+                    for v in graph.vertices()
+                ]
             for k in range(1, 5):
                 for q in range(2 * k - 1, 2 * k + 5):
                     for use_seed_pruning in (True, False):
@@ -678,7 +682,7 @@ def test_job_cancelled_mid_stream_counts_what_it_delivered(case):
             return stream_run(request, **kwargs)
 
         with mock.patch.object(service, "stream_run", stream_run_once_released):
-            with JobManager(service, JobManagerConfig(max_concurrent=1)) as manager:
+            with JobManager(service) as manager:
                 job = manager.submit("g", k=k, q=q, result_buffer=1)
                 pin = job.results.attach(0)
                 released.set()

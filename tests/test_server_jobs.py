@@ -9,16 +9,18 @@ import subprocess
 import sys
 import threading
 import time
+from unittest import mock
 
 import pytest
 
+from repro.api import KPlexEngine
+from repro.baselines.brute_force import brute_force_vertex_sets
 from repro.errors import (
     JobNotFoundError,
     JobQueueFullError,
     RemoteServiceError,
 )
 from repro.graph import generators
-from repro.jobs import JobManagerConfig
 from repro.server import ServiceClient, start_server
 from repro.service import KPlexService, ServiceConfig
 
@@ -26,7 +28,8 @@ EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
 
 
 def make_service(**config_kwargs) -> KPlexService:
-    service = KPlexService(config=ServiceConfig(max_workers=2, **config_kwargs))
+    config_kwargs.setdefault("max_workers", 2)
+    service = KPlexService(config=ServiceConfig(**config_kwargs))
     service.catalog.register("toy", EDGES)
     service.catalog.register("busy", generators.gnm_random(60, 400, seed=5))
     return service
@@ -75,6 +78,44 @@ def test_job_submit_poll_stream_roundtrip(served):
     assert client.jobs(states=["failed"]) == []
 
 
+def _register_checked_graph(client):
+    graph = generators.erdos_renyi(12, 0.5, seed=0)
+    client.register("g", edges=list(graph.edges()), vertices=graph.labels())
+    return brute_force_vertex_sets(graph, 2, 4)
+
+
+def _job_answer(client):
+    job_id = client.submit_job("g", k=2, q=4)["id"]
+    records = list(client.iter_job_results(job_id))
+    final = records[-1]
+    assert final["done"] is True and final["state"] == "succeeded"
+    assert final["count"] == len(records) - 1
+    return {frozenset(record["kplex"]) for record in records[:-1]}
+
+
+def test_job_on_a_cached_spec_streams_without_a_second_search(served):
+    _service, _server, client = served
+    expected = _register_checked_graph(client)
+    solved = client.solve("g", k=2, q=4)
+    assert {frozenset(labels) for labels in solved["kplexes"]} == expected
+    hits = client.metrics()["cache_hits"]
+    with mock.patch.object(
+        KPlexEngine, "stream_run", autospec=True, side_effect=KPlexEngine.stream_run
+    ) as spy:
+        assert _job_answer(client) == expected
+    assert spy.call_count == 0
+    assert client.metrics()["cache_hits"] == hits + 1
+
+
+def test_completed_job_makes_the_next_solve_a_cache_hit(served):
+    _service, _server, client = served
+    expected = _register_checked_graph(client)
+    assert _job_answer(client) == expected
+    solved = client.solve("g", k=2, q=4)
+    assert client.last_cache == "hit"
+    assert {frozenset(labels) for labels in solved["kplexes"]} == expected
+
+
 def test_job_error_statuses(served):
     _service, server, client = served
     with pytest.raises(JobNotFoundError):
@@ -105,11 +146,10 @@ def test_job_error_statuses(served):
 
 
 def test_job_queue_budget_maps_to_429():
-    service = make_service()
+    service = make_service(max_workers=1, max_queue_depth=1)
     server = start_server(
         service,
         port=0,
-        job_config=JobManagerConfig(max_concurrent=1, max_queue_depth=1),
     )
     client = ServiceClient(server.url)
     client.wait_ready()
@@ -154,11 +194,10 @@ def test_job_streaming_applies_backpressure():
     # A single job worker lets us attach the stream reader while the target
     # job is still queued behind a blocker, so backpressure (not ring
     # dropping) governs it from its very first result.
-    service = make_service()
+    service = make_service(max_workers=1, max_queue_depth=4)
     server = start_server(
         service,
         port=0,
-        job_config=JobManagerConfig(max_concurrent=1, max_queue_depth=4),
     )
     client = ServiceClient(server.url)
     client.wait_ready()
@@ -375,12 +414,11 @@ def test_drain_cancel_terminates_midflight_stream_cleanly():
     # finish first: a reader attached to its one-entry result buffer never
     # reads, so its producer waits on the first full buffer until the drain
     # cancels it (unheld, it would run for seconds).
-    service = make_service()
+    service = make_service(max_workers=1, max_queue_depth=8)
     server = start_server(
         service,
         port=0,
         drain_jobs="cancel",
-        job_config=JobManagerConfig(max_concurrent=1, max_queue_depth=8),
     )
     client = ServiceClient(server.url)
     client.wait_ready()

@@ -73,10 +73,6 @@ class DenseSubgraph:
     # ------------------------------------------------------------------ #
     # Adjacency queries (local indices)
     # ------------------------------------------------------------------ #
-    def neighbors_mask(self, local_vertex: int) -> int:
-        """Return the adjacency row of ``local_vertex`` as a bitset."""
-        return self.adjacency[local_vertex]
-
     def has_edge(self, u: int, v: int) -> bool:
         """Return ``True`` if local vertices ``u`` and ``v`` are adjacent."""
         return (self.adjacency[u] >> v) & 1 == 1

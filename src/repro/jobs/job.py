@@ -218,12 +218,6 @@ class ResultLog:
             return first, list(self._entries)[offset:] if offset < len(self._entries) else [], self._closed
 
     @property
-    def next_index(self) -> int:
-        """Total number of entries ever appended."""
-        with self._lock:
-            return self._next
-
-    @property
     def buffered(self) -> int:
         """Entries currently retained in memory."""
         with self._lock:

@@ -41,7 +41,7 @@ from ..errors import (
 )
 from ..graph import Graph
 from ..obs import Trace, TraceRecorder, activate, current_trace, log_event
-from ..service.service import KPlexService
+from ..service.service import _INCONCLUSIVE, KPlexService
 from .job import (
     JOB_CANCELLED,
     JOB_FAILED,
@@ -412,15 +412,14 @@ class JobManager:
             "kplex": list(plex.labels),
         }
 
-    def _run(self, job: Job, parent_request_id: Optional[str] = None) -> None:
+    def _run(self, job: Job, parent_request_id: Optional[str] = None) -> object:
         # Each job runs under its own trace, keyed by the job's request_id
         # (= job id), so /v1/trace/<job id> shows the async work; the
         # submitting HTTP request is linked via parent_request_id.
         if self._recorder is None:
             # Tracing disabled: no recorder means nobody can ever read the
             # trace, so skip the span bookkeeping entirely.
-            self._run_traced(job)
-            return
+            return self._run_traced(job)
         trace = Trace(request_id=job.request_id)
         root = trace.span("job", job_id=job.id)
         if parent_request_id is not None:
@@ -431,16 +430,16 @@ class JobManager:
         self._recorder.record(trace)
         try:
             with activate(root):
-                self._run_traced(job)
+                return self._run_traced(job)
         finally:
             root.finish()
             trace.finish()
 
-    def _run_traced(self, job: Job) -> None:
+    def _run_traced(self, job: Job) -> object:
         if not job.try_start():
             # Cancelled while queued; the admission slot frees here.
             log_event("job_cancelled_before_start", job_id=job.id)
-            return
+            return _INCONCLUSIVE
         log_event("job_started", job_id=job.id)
         try:
             iterator, outcome = self.service.stream_run(
@@ -468,36 +467,27 @@ class JobManager:
                 self._failed += 1
             log_event("job_failed", job_id=job.id, error=type(exc).__name__)
             raise  # the service's dispatch records the failure
-        statistics = None
-        run = outcome.run
-        if run is not None:
-            try:
-                statistics = run.statistics().as_dict()
-            except Exception:  # repro-lint: disable=swallowed-exception
-                statistics = None  # stats are best-effort; the job result stands
-        if outcome.termination == TERMINATION_CANCELLED:
-            job.finish(
-                JOB_CANCELLED,
-                termination=outcome.termination,
-                elapsed_seconds=outcome.elapsed_seconds,
-                statistics=statistics,
-            )
-            with self._lock:
+        try:
+            statistics = outcome.run.statistics().as_dict()
+        except Exception:  # repro-lint: disable=swallowed-exception
+            statistics = None  # stats are best-effort; the job result stands
+        cancelled = outcome.termination == TERMINATION_CANCELLED
+        job.finish(
+            JOB_CANCELLED if cancelled else JOB_SUCCEEDED,
+            termination=outcome.termination,
+            elapsed_seconds=outcome.elapsed_seconds,
+            statistics=statistics,
+        )
+        with self._lock:
+            if cancelled:
                 self._cancelled += 1
-            log_event("job_cancelled", job_id=job.id, results=job.result_count)
-        else:
-            job.finish(
-                JOB_SUCCEEDED,
-                termination=outcome.termination,
-                elapsed_seconds=outcome.elapsed_seconds,
-                statistics=statistics,
-            )
-            with self._lock:
+            else:
                 self._succeeded += 1
-            log_event(
-                "job_succeeded",
-                job_id=job.id,
-                results=job.result_count,
-                termination=outcome.termination,
-                elapsed_seconds=outcome.elapsed_seconds,
-            )
+        log_event(
+            "job_cancelled" if cancelled else "job_succeeded",
+            job_id=job.id,
+            results=job.result_count,
+            termination=outcome.termination,
+            elapsed_seconds=outcome.elapsed_seconds,
+        )
+        return _INCONCLUSIVE if cancelled else None

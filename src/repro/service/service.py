@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..api.engine import CancellationToken, KPlexEngine, StreamOutcome
+from ..api.registry import SolverRun
 from ..api.request import EnumerationRequest
 from ..api.response import (
     TERMINATION_CANCELLED,
@@ -60,6 +61,7 @@ from ..obs import (
 from ..resilience import CircuitBreaker, resilience_stats
 from .cache import ResultCache, result_cache_key
 from .catalog import GraphCatalog
+from .sizing import estimate_kplex_bytes
 
 #: Outcome labels recorded per completed request.
 OUTCOME_HIT = "hit"
@@ -186,7 +188,7 @@ class ServiceMetrics:
         self.registry = registry or MetricsRegistry()
         self._latency = self.registry.histogram(
             "request_latency_seconds",
-            help_text="End-to-end latency of admitted requests",
+            help_text="End-to-end latency of admitted solves",
         )
         self._queue_wait = self.registry.histogram(
             "queue_wait_seconds",
@@ -240,16 +242,13 @@ class ServiceMetrics:
             self.in_flight -= 1
             self.errors += 1
 
-    def record_outcome(
-        self, latency_seconds: float, error: bool = False, started: bool = True
-    ) -> None:
-        """One admitted request finished (successfully or not).
+    def record_outcome(self, error: bool = False, started: bool = True) -> None:
+        """One admitted request or job finished (successfully or not).
 
         ``started=False`` settles a request that never reached
         :meth:`record_started` (e.g. a failed pool submission), so the
         ``running`` gauge stays balanced.
         """
-        self._latency.observe(latency_seconds)
         with self._lock:
             self.in_flight -= 1
             if started:
@@ -258,6 +257,10 @@ class ServiceMetrics:
                 self.errors += 1
             else:
                 self.completed += 1
+
+    def record_latency(self, seconds: float) -> None:
+        """One solve's time on its worker (jobs, paced by readers, record none)."""
+        self._latency.observe(seconds)
 
     def record_served(self, outcome: str, termination: Optional[str] = None) -> None:
         """One answer was served as a cache hit, a coalesced wait or a miss."""
@@ -340,10 +343,6 @@ class ServiceMetrics:
             snapshot["latency_max_seconds"] = state.get("max", 0.0)
         return snapshot
 
-    def to_prometheus_text(self, prefix: str = "kplex") -> str:
-        """Render the snapshot counters in Prometheus exposition format."""
-        return render_prometheus(self.snapshot(), prefix=prefix)
-
 
 class _Inflight:
     """Rendezvous for concurrent identical misses (request coalescing)."""
@@ -356,42 +355,29 @@ class _Inflight:
         self.exception: Optional[BaseException] = None
 
 
+#: Returned by an admitted task whose run proves nothing about backend health
+#: (a cancelled job): dispatch frees a half-open probe slot, closing nothing.
+_INCONCLUSIVE = object()
+
+
 def _replay(
     response: EnumerationResponse, cancel: Optional[CancellationToken]
 ) -> "tuple[Iterator[KPlex], StreamOutcome]":
     """A cached response as a stream: its k-plexes, stopped by ``cancel``."""
     outcome = StreamOutcome()
     outcome.termination = response.termination
-    outcome.elapsed_seconds = response.elapsed_seconds
+    outcome.run = SolverRun(iter(()), lambda: response.statistics, response.solver_metadata)
 
     def replay() -> Iterator[KPlex]:
+        started = time.perf_counter()
         for plex in response.kplexes:
             if cancel is not None and cancel.cancelled:
                 outcome.termination = TERMINATION_CANCELLED
-                return
+                break
             yield plex
+        outcome.elapsed_seconds = time.perf_counter() - started
 
     return replay(), outcome
-
-
-def _store_when_exhausted(
-    cache: ResultCache,
-    key: Hashable,
-    request: EnumerationRequest,
-    iterator: Iterator[KPlex],
-    outcome: StreamOutcome,
-) -> Iterator[KPlex]:
-    """Pass a search stream through; store its response once it is exhausted."""
-    kplexes: List[KPlex] = []
-    with closing(iterator):
-        for plex in iterator:
-            kplexes.append(plex)
-            yield plex
-    # Reached only once the search stream is exhausted (a consumer that
-    # closes this generator early leaves at the yield), so the termination
-    # is read only now: it starts out as "completed".  store() keeps only
-    # completed and result-limit responses.
-    cache.store(request, outcome.to_response(request, kplexes), key=key)
 
 
 class KPlexService:
@@ -563,11 +549,14 @@ class KPlexService:
         k-plexes without a search (``cancel`` still stops it; ``on_progress``
         fires only during a search).  A miss streams the search and, once
         that stream is exhausted with a cacheable termination, stores its
-        response.  Both count in the hit and miss counters.  Jobs run this
-        on a worker admitted like :meth:`submit`; a direct call is not.
+        response, holding its k-plexes only while they fit the cache's byte
+        budget.  A hit counts when it is looked up, a miss (and a timeout)
+        once its search stream is exhausted.  Jobs run this on a worker
+        admitted like :meth:`submit`; a direct call is not.
         """
         request = self._apply_defaults(request)
         cache = self._result_cache
+        key: Optional[Hashable] = None
         if cache is not None:
             # Derived once, before the run, as in _solve_with_cache.
             key = result_cache_key(request)
@@ -575,13 +564,10 @@ class KPlexService:
             if cached is not None:
                 self._metrics.record_served(OUTCOME_HIT)
                 return _replay(cached, cancel)
-        self._metrics.record_served(OUTCOME_MISS)
         iterator, outcome = self._engine.stream_run(
             request, cancel=cancel, on_progress=on_progress
         )
-        if cache is None:
-            return iterator, outcome
-        return _store_when_exhausted(cache, key, request, iterator, outcome), outcome
+        return self._finish_search(key, request, iterator, outcome), outcome
 
     def invalidate(self, name: str) -> int:
         """Retire every cached artefact of a catalog graph; return its epoch.
@@ -754,7 +740,7 @@ class KPlexService:
         except BaseException:
             with self._admission_lock:
                 self._outstanding -= 1
-            self._metrics.record_outcome(0.0, error=True, started=False)
+            self._metrics.record_outcome(error=True, started=False)
             if self._breaker is not None:
                 self._breaker.cancel_probe()
             raise
@@ -762,23 +748,25 @@ class KPlexService:
         return future
 
     def _dispatch(self, task: Callable[..., object], args: tuple, submitted_at: float) -> object:
-        """Run one admitted task on a worker; record its latency and health."""
-        started = time.perf_counter()
+        """Run one admitted task on a worker; record its outcome and health."""
         self._metrics.record_queue_wait(time.time() - submitted_at)
         self._metrics.record_started()
         try:
             value = task(*args)
         except BaseException as exc:
-            self._metrics.record_outcome(time.perf_counter() - started, error=True)
+            self._metrics.record_outcome(error=True)
             # Bad parameters say nothing about backend health; everything
             # else (solver crashes, poison tasks, engine errors) counts
             # toward opening the circuit.
             if self._breaker is not None and not isinstance(exc, ParameterError):
                 self._breaker.record_failure()
             raise
-        self._metrics.record_outcome(time.perf_counter() - started)
+        self._metrics.record_outcome()
         if self._breaker is not None:
-            self._breaker.record_success()
+            if value is _INCONCLUSIVE:
+                self._breaker.cancel_probe()
+            else:
+                self._breaker.record_success()
         return value
 
     def _on_done(self, future: Future) -> None:
@@ -802,6 +790,34 @@ class KPlexService:
             )
         return request
 
+    def _finish_search(
+        self,
+        key: Optional[Hashable],
+        request: EnumerationRequest,
+        iterator: Iterator[KPlex],
+        outcome: StreamOutcome,
+    ) -> Iterator[KPlex]:
+        """Pass a search stream through; count and cache it once it is exhausted."""
+        cache, budget = self._result_cache, self.config.result_cache_bytes
+        kplexes: Optional[List[KPlex]] = [] if cache is not None else None
+        size = 0
+        with closing(iterator):
+            for plex in iterator:
+                if kplexes is not None:
+                    size += estimate_kplex_bytes(plex)
+                    if budget is not None and size > budget:
+                        kplexes = None  # store() would reject the response
+                    else:
+                        kplexes.append(plex)
+                yield plex
+        # Reached only once the search stream is exhausted (a consumer that
+        # closes this generator early leaves at the yield), so the termination
+        # is read only now: it starts out as "completed".  store() keeps only
+        # completed and result-limit responses.
+        self._metrics.record_served(OUTCOME_MISS, outcome.termination)
+        if kplexes is not None:
+            cache.store(request, outcome.to_response(request, kplexes), key=key)
+
     def _run(self, request: EnumerationRequest) -> EnumerationResponse:
         with span("enumerate", solver=request.solver):
             return self._engine.solve(request)
@@ -812,6 +828,7 @@ class KPlexService:
         parent_span: Optional[object],
         submitted_at: float,
     ) -> EnumerationResponse:
+        started = time.perf_counter()
         # Re-enter the submitter's trace context: worker threads inherit
         # nothing, so the span captured in submit() is activated explicitly.
         with activate(parent_span), span(  # type: ignore[arg-type]
@@ -832,11 +849,12 @@ class KPlexService:
                     "request_error", solver=request.solver, error=type(exc).__name__
                 )
                 raise
+            finally:
+                self._metrics.record_latency(time.perf_counter() - started)
             execute_span.set(outcome=outcome, termination=response.termination)
             self._metrics.record_served(outcome, response.termination)
             self._metrics.observe_response(response)
             return response
-
 
     def _solve_with_cache(
         self, request: EnumerationRequest

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.response import EnumerationResponse
+    from ..core.kplex import KPlex
     from ..graph import Graph
     from ..graph.prepared import PreparedGraph
 
@@ -78,8 +79,10 @@ def estimate_response_bytes(response: "EnumerationResponse") -> int:
     catalog anyway, so charging each entry for it would make a handful of
     results on a large graph look gigantic.
     """
-    total = 4 * _OBJECT  # response + statistics + request + metadata
-    for plex in response.kplexes:
-        members = len(plex.vertices)
-        total += _OBJECT + 2 * (_TUPLE_BASE + members * (_POINTER + _SMALL_INT))
-    return total
+    # response + statistics + request + metadata, then the k-plexes
+    return 4 * _OBJECT + sum(estimate_kplex_bytes(plex) for plex in response.kplexes)
+
+
+def estimate_kplex_bytes(plex: "KPlex") -> int:
+    """One result k-plex's share of :func:`estimate_response_bytes`."""
+    return _OBJECT + 2 * (_TUPLE_BASE + len(plex.vertices) * (_POINTER + _SMALL_INT))

@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from repro.api import CancellationToken, EnumerationRequest, KPlexEngine
+from repro.api import CancellationToken, EnumerationRequest, KPlexEngine, StreamOutcome
 from repro.baselines.brute_force import brute_force_vertex_sets
 from repro.errors import (
     JobNotFoundError,
@@ -33,7 +33,9 @@ from repro.jobs import (
     JobManagerConfig,
     ResultLog,
 )
+from repro.resilience.breaker import STATE_HALF_OPEN
 from repro.service import KPlexService, ServiceConfig
+from repro.service.sizing import estimate_kplex_bytes
 
 EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
 
@@ -490,7 +492,8 @@ def cached_service():
 
 def test_job_on_a_cached_spec_streams_without_a_second_search():
     service, expected = cached_service()
-    assert {frozenset(p.vertices) for p in service.solve("g", k=2, q=4)} == expected
+    response = service.solve("g", k=2, q=4)
+    assert {frozenset(p.vertices) for p in response} == expected
     hits = service.metrics()["cache_hits"]
     with mock.patch.object(
         KPlexEngine, "stream_run", autospec=True, side_effect=KPlexEngine.stream_run
@@ -503,6 +506,7 @@ def test_job_on_a_cached_spec_streams_without_a_second_search():
     assert service.metrics()["cache_hits"] == hits + 1
     assert done.state == JOB_SUCCEEDED and done.result_count == len(records)
     assert {frozenset(entry["kplex"]) for entry in records} == expected
+    assert done.statistics == response.statistics.as_dict()
     service.close()
 
 
@@ -567,6 +571,55 @@ def test_cancelled_or_timed_out_job_stores_nothing():
     service.close()
 
 
+def test_job_larger_than_the_cache_budget_keeps_no_list_and_stores_nothing():
+    graph = generators.erdos_renyi(12, 0.5, seed=0)
+    expected = brute_force_vertex_sets(graph, 2, 4)
+    service = KPlexService(config=ServiceConfig(max_workers=1, result_cache_bytes=2048))
+    service.catalog.register("g", graph)
+    with mock.patch(
+        "repro.service.service.estimate_kplex_bytes", side_effect=estimate_kplex_bytes
+    ) as sized, mock.patch.object(
+        StreamOutcome, "to_response", autospec=True, side_effect=StreamOutcome.to_response
+    ) as built:
+        with JobManager(service) as manager:
+            job = manager.submit("g", k=2, q=4)
+            records = [entry for _index, entry in job.iter_results()]
+            assert manager.wait(job.id, timeout=10).state == JOB_SUCCEEDED
+    assert {frozenset(entry["kplex"]) for entry in records} == expected
+    # The stream stopped collecting once the budget was passed: no k-plex
+    # after that was sized, and no response was built for the cache.
+    assert 0 < sized.call_count < len(expected)
+    assert built.call_count == 0
+    assert len(service.result_cache) == 0
+    _assert_next_solve_misses(service, expected)
+    service.close()
+
+
+def test_job_runs_add_no_latency_sample_but_count_their_timeouts():
+    service, _expected = cached_service()
+    with JobManager(service) as manager:
+        for timeout in (0.0, None):
+            job = manager.submit("g", k=2, q=4, timeout_seconds=timeout)
+            manager.wait(job.id, timeout=10)
+            job.future.result(timeout=10)
+    metrics = service.metrics()
+    assert (metrics["completed"], metrics["timeouts"]) == (2, 1)
+    assert metrics["latency_samples"] == 0
+    service.solve("g", k=2, q=4)
+    assert service.metrics()["latency_samples"] == 1
+    service.close()
+
+
+def test_failed_job_counts_no_cache_miss():
+    # As a failing solve counts none: a miss counts once its stream ends.
+    service, _expected = cached_service()
+    with JobManager(service) as manager:
+        job = manager.submit("g", k=3, q=2)  # below the diameter bound 2k - 1
+        assert manager.wait(job.id, timeout=10).state == JOB_FAILED
+    assert service.metrics()["cache_misses"] == 0
+    service.close()
+
+
 @contextmanager
 def busy_worker(manager):
     """Hold the service's only worker with a job whose one reader never reads."""
@@ -619,6 +672,29 @@ def test_job_cancelled_while_queued_frees_the_breaker_probe():
         probe = manager.submit("toy", k=2, q=3)  # takes the one probe slot, queued
         manager.cancel(probe.id)
         manager.cancel(manager.submit("toy", k=2, q=3).id)  # a new probe may pass
+    manager.close()
+    manager.service.close()
+
+
+def test_cancelled_probe_job_leaves_the_breaker_half_open():
+    manager = make_manager(
+        max_workers=1, breaker_failure_threshold=1, breaker_cooldown_seconds=0.05
+    )
+    breaker = manager.service.breaker
+    breaker.record_failure()  # open; half-open after the cooldown
+    time.sleep(0.1)
+    probe = manager.submit("busy", k=2, q=4, result_buffer=1)  # the probe
+    pin = probe.results.attach(0)  # holds the probe mid-stream
+    deadline = time.monotonic() + 10
+    while probe.result_count == 0 and time.monotonic() < deadline:
+        time.sleep(0.002)
+    assert probe.state == JOB_RUNNING
+    manager.cancel(probe.id)
+    probe.results.detach(pin)
+    assert manager.wait(probe.id, timeout=10).state == JOB_CANCELLED
+    probe.future.result(timeout=10)  # the dispatch has settled the breaker
+    assert breaker.state == STATE_HALF_OPEN
+    assert breaker.allow()  # the probe slot is free for the next caller
     manager.close()
     manager.service.close()
 

@@ -57,8 +57,10 @@ def test_bench_seed_context_construction_sparse_core(benchmark):
     """Algorithm 2 over every seed of a sparse 10,000-vertex core at k=1, q=3.
 
     The core (a Barabási–Albert graph with 3 attachments) is far too sparse
-    for neighbour rows, so the index builds none and the 410 kept seeds
-    select their seed subgraph and external set from neighbour sets.
+    for neighbour rows, so the index builds none and the 409 kept seeds
+    select their seed subgraph and external set from neighbour sets (one
+    more seed is selected, then dropped because an earlier vertex
+    dominates its seed subgraph).
     """
     core, _ = shrink_to_core(barabasi_albert(10_000, 3, seed=1), 3 - 1)
     config = EnumerationConfig.ours()
@@ -69,8 +71,29 @@ def test_bench_seed_context_construction_sparse_core(benchmark):
         return sum(context is not None for _seed, context in contexts)
 
     kept = benchmark(build_all)
-    assert kept == 410
+    assert kept == 409
     assert prepare(core).rows is None
+
+
+def test_bench_seed_context_construction_large_q(benchmark):
+    """Algorithm 2 over every seed of a dense 4,000-vertex core at k=2, q=20.
+
+    The core (a Barabási–Albert graph with 32 attachments, ``n²/128m`` about
+    0.98) is on the row side of the index's density gate; at this ``q``
+    all but 3 seeds are rejected.  The first solve builds the rows, so the
+    first round includes their build.
+    """
+    core, _ = shrink_to_core(barabasi_albert(4_000, 32, seed=1), 20 - 2)
+    config = EnumerationConfig.ours()
+    prepare(core).position
+
+    def build_all():
+        contexts = iter_seed_contexts(core, 2, 20, config, SearchStatistics())
+        return sum(context is not None for _seed, context in contexts)
+
+    kept = benchmark(build_all)
+    assert kept == 3
+    assert prepare(core).rows is not None
 
 
 def test_bench_subtask_enumeration(benchmark):

@@ -41,6 +41,19 @@ lie within two hops (it is a neighbour of the seed or shares one), as
 Without Corollary 5.2 (the ``use_seed_pruning`` ablation) ``G_i`` is Eq
 (1)'s full vertex set: the later neighbours plus the later non-neighbours
 of any neighbour, earlier ones included.
+
+A kept seed is dropped, before its degrees, pair matrix and sub-tasks are
+built, when one external vertex ``e`` *dominates* ``G_i``: ``e`` misses at
+most ``k - 1`` vertices of ``G_i``, and every vertex ``u`` it misses is
+*loose*, ``|G_i \\ N(u)| <= k - 1`` with ``u`` counted as its own
+non-neighbour.  Then ``R ∪ {e}`` is a k-plex for every k-plex ``R ⊆ G_i``
+(Definition 3.1): ``e`` misses itself and at most ``k - 1`` members of
+``R``; a member adjacent to ``e`` misses what it missed in ``R``; and a
+member ``u`` that ``e`` misses misses at most ``|R \\ N(u)| + 1 <=
+|G_i \\ N(u)| + 1 <= k`` vertices of ``R ∪ {e}``.  Every result of the seed
+is a k-plex of ``G_i``, so none is maximal and dropping the seed is exact.
+A dominating ``e`` has at least ``|G_i| + 1 - k >= q + 1 - k`` neighbours in
+``G_i``, so it is always among the externals tested.
 """
 
 from __future__ import annotations
@@ -50,7 +63,7 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain
 from operator import or_
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..graph import Graph
 from ..graph.bitset import bits_to_list, iter_bits
@@ -124,6 +137,23 @@ class SubTask:
 Selection = Tuple[List[int], List[int], Callable[[], List[int]]]
 
 
+class SeedIndex(NamedTuple):
+    """The artefacts of a :class:`PreparedGraph` that seed selection reads.
+
+    :func:`iter_seed_contexts` binds them once per solve instead of reading
+    the index's properties again for every seed.
+    """
+
+    graph: Graph
+    position: List[int]
+    rows: Optional[List[int]]
+    order: List[int]
+
+    @classmethod
+    def of(cls, prepared: PreparedGraph) -> "SeedIndex":
+        return cls(prepared.graph, prepared.position, prepared.rows, prepared.decomposition.order)
+
+
 def at_least(rows: Iterable[int], count: int) -> int:
     """The bits set in at least ``count`` (``>= 1``) of ``rows``.
 
@@ -164,6 +194,7 @@ def seed_subgraph_vertices(
     q: int,
     use_seed_pruning: bool,
     stats: Optional[SearchStatistics] = None,
+    index: Optional[SeedIndex] = None,
 ) -> Optional[Selection]:
     """The vertices of one seed's pruned ``G_i``, or ``None`` if the seed is rejected.
 
@@ -177,11 +208,14 @@ def seed_subgraph_vertices(
     :func:`repro.core.kplex.validate_parameters` enforces).  Without
     ``use_seed_pruning`` ``G_i`` is Eq (1)'s later vertices within two hops.
     ``None`` is returned, and counted in ``stats.seeds_pruned_empty``, when
-    ``G_i`` cannot hold a k-plex with ``q`` vertices.
+    ``G_i`` cannot hold a k-plex with ``q`` vertices.  ``index`` is
+    ``SeedIndex.of(prepared)`` when the caller has bound it already.
     """
-    if prepared.rows is not None:
-        return _select_by_rows(prepared, seed_vertex, k, q, use_seed_pruning, stats)
-    graph, position = prepared.graph, prepared.position
+    if index is None:
+        index = SeedIndex.of(prepared)
+    if index.rows is not None:
+        return _select_by_rows(index, seed_vertex, k, q, use_seed_pruning, stats)
+    graph, position = index.graph, index.position
     seed_position = position[seed_vertex]
     neighbors = graph.neighbors(seed_vertex)
     later_neighbors = [v for v in neighbors if position[v] > seed_position]
@@ -225,20 +259,19 @@ def _rejected(stats: Optional[SearchStatistics]) -> None:
 
 
 def _select_by_rows(
-    prepared: PreparedGraph,
+    index: SeedIndex,
     seed_vertex: int,
     k: int,
     q: int,
     use_seed_pruning: bool,
     stats: Optional[SearchStatistics],
 ) -> Optional[Selection]:
-    """:func:`seed_subgraph_vertices` on the neighbour rows of ``prepared``."""
-    position, rows = prepared.position, prepared.rows
-    order = prepared.decomposition.order
+    """:func:`seed_subgraph_vertices` on the neighbour rows of ``index``."""
+    graph, position, rows, order = index
     seed_position = position[seed_vertex]
     seed_row = rows[seed_vertex]
     later = -1 << (seed_position + 1)
-    neighbors = prepared.graph.neighbors(seed_vertex)
+    neighbors = graph.neighbors(seed_vertex)
     kept_neighbors = {v for v in neighbors if position[v] > seed_position}
     if use_seed_pruning:
         # Corollary 5.2's neighbour rule to S*, a whole round at a time as in
@@ -264,10 +297,10 @@ def _select_by_rows(
         two_hop_mask = reduce(or_, map(rows.__getitem__, neighbors), 0) & later & ~seed_row
     if 1 + len(kept_neighbors) + two_hop_mask.bit_count() < q:
         return _rejected(stats)
-    two_hop = [order[index] for index in iter_bits(two_hop_mask)]
+    two_hop = [order[at] for at in iter_bits(two_hop_mask)]
 
     members = [seed_vertex, *kept_neighbors, *two_hop]
-    externals = partial(_externals_by_rows, prepared, seed_vertex, members, q + 1 - k)
+    externals = partial(_externals_by_rows, index, seed_vertex, members, q + 1 - k)
     return sorted(kept_neighbors), sorted(two_hop), externals
 
 
@@ -294,15 +327,15 @@ def _externals_by_counts(
 
 
 def _externals_by_rows(
-    prepared: PreparedGraph, seed_vertex: int, members: List[int], threshold: int
+    index: SeedIndex, seed_vertex: int, members: List[int], threshold: int
 ) -> List[int]:
-    rows, order = prepared.rows, prepared.decomposition.order
+    _graph, position, rows, order = index
     seed_row = rows[seed_vertex]
     witnesses = at_least(map(rows.__getitem__, members), threshold)
     return sorted(
-        order[index]
-        for index in iter_bits(witnesses & ((1 << prepared.position[seed_vertex]) - 1))
-        if (seed_row >> index) & 1 or rows[order[index]] & seed_row
+        order[at]
+        for at in iter_bits(witnesses & ((1 << position[seed_vertex]) - 1))
+        if (seed_row >> at) & 1 or rows[order[at]] & seed_row
     )
 
 
@@ -313,18 +346,23 @@ def build_seed_context(
     q: int,
     config: EnumerationConfig,
     stats: Optional[SearchStatistics] = None,
+    index: Optional[SeedIndex] = None,
 ) -> Optional[SeedContext]:
     """Build the :class:`SeedContext` for one seed vertex, or ``None`` if prunable.
 
-    ``prepared`` is the index of the mined graph; the seed's ``G_i`` is
+    ``prepared`` is the index of the mined graph (``index`` its bound
+    :class:`SeedIndex`, if the caller has one); the seed's ``G_i`` is
     selected by :func:`seed_subgraph_vertices`.  ``None`` is
     returned when the (pruned) seed subgraph is too small to contain a
-    k-plex with ``q`` vertices.  The external vertices are the earlier
-    vertices within two hops held by at least ``q + 1 - k`` rows of ``G_i``
-    (module docstring).
+    k-plex with ``q`` vertices, or when an external vertex dominates it
+    (counted in ``stats.seeds_pruned_dominated``).  The external vertices
+    are the earlier vertices within two hops held by at least ``q + 1 - k``
+    rows of ``G_i`` (module docstring).
     """
+    if index is None:
+        index = SeedIndex.of(prepared)
     members = seed_subgraph_vertices(
-        prepared, seed_vertex, k, q, config.use_seed_pruning, stats
+        prepared, seed_vertex, k, q, config.use_seed_pruning, stats, index
     )
     if members is None:
         return None
@@ -334,13 +372,17 @@ def build_seed_context(
     # each group sorted by vertex id.  Keeping the seed at index 0 makes masks
     # easy to reason about in tests.
     local_vertices = [seed_vertex] + kept_neighbors + kept_two_hop
-    subgraph = DenseSubgraph(prepared.graph, local_vertices)
+    subgraph = DenseSubgraph(index.graph, local_vertices)
     seed_local = 0
     candidate_mask = subgraph.mask_of_parents(kept_neighbors)
     two_hop_mask = subgraph.mask_of_parents(kept_two_hop)
 
     external = externals()
     external_adjacency = [external_adjacency_mask(subgraph, vertex) for vertex in external]
+    if _dominated(subgraph, external_adjacency, k):
+        if stats is not None:
+            stats.seeds_pruned_dominated += 1
+        return None
     degrees = [row.bit_count() for row in subgraph.adjacency]
 
     pair_ok = None
@@ -362,6 +404,20 @@ def build_seed_context(
         degrees=degrees,
         pair_ok=pair_ok,
     )
+
+
+def _dominated(subgraph: DenseSubgraph, external_adjacency: List[int], k: int) -> bool:
+    """Whether an external vertex extends every k-plex of ``subgraph`` (module docstring)."""
+    full, adjacency = subgraph.full_mask, subgraph.adjacency
+    # A loose vertex misses at most k - 1 vertices of G_i, itself included.
+    loose_degree = subgraph.size + 1 - k
+    for row in external_adjacency:
+        missed = full & ~row
+        if missed.bit_count() < k and all(
+            adjacency[u].bit_count() >= loose_degree for u in iter_bits(missed)
+        ):
+            return True
+    return False
 
 
 def iter_subtasks(
@@ -445,5 +501,6 @@ def iter_seed_contexts(
     """
     if prepared is None:
         prepared = prepare(graph)
-    for seed_vertex in prepared.decomposition.order:
-        yield seed_vertex, build_seed_context(prepared, seed_vertex, k, q, config, stats)
+    index = SeedIndex.of(prepared)
+    for seed_vertex in index.order:
+        yield seed_vertex, build_seed_context(prepared, seed_vertex, k, q, config, stats, index)

@@ -29,10 +29,14 @@ class SearchStatistics:
     """Mutable counters filled in by the enumerator."""
 
     # Every seed tried is counted once: ``seeds`` when its task group is
-    # built, ``seeds_pruned_empty`` when it is rejected.
+    # built, ``seeds_pruned_empty`` when its G_i is too small for a k-plex
+    # of q vertices, ``seeds_pruned_dominated`` when one earlier (external)
+    # vertex extends every k-plex of its G_i, so none is maximal
+    # (repro.core.seeds).
     seeds: int = 0
     seed_subgraph_vertices: int = 0
     seeds_pruned_empty: int = 0
+    seeds_pruned_dominated: int = 0
     subtasks: int = 0
     subtasks_pruned_by_seed_bound: int = 0
     branch_calls: int = 0
@@ -102,6 +106,7 @@ class SearchStatistics:
         self.seeds += other.seeds
         self.seed_subgraph_vertices += other.seed_subgraph_vertices
         self.seeds_pruned_empty += other.seeds_pruned_empty
+        self.seeds_pruned_dominated += other.seeds_pruned_dominated
         self.subtasks += other.subtasks
         self.subtasks_pruned_by_seed_bound += other.subtasks_pruned_by_seed_bound
         self.branch_calls += other.branch_calls
@@ -128,6 +133,7 @@ class SearchStatistics:
             "seeds": self.seeds,
             "seed_subgraph_vertices": self.seed_subgraph_vertices,
             "seeds_pruned_empty": self.seeds_pruned_empty,
+            "seeds_pruned_dominated": self.seeds_pruned_dominated,
             "subtasks": self.subtasks,
             "subtasks_pruned_by_seed_bound": self.subtasks_pruned_by_seed_bound,
             "branch_calls": self.branch_calls,

@@ -82,6 +82,19 @@ def corollary_52_rejects(graph: Graph, seed: int, fixpoint: set, k: int, q: int)
     return len(fixpoint) < q or len(fixpoint & graph.neighbors(seed)) < q - k
 
 
+def dominates(graph: Graph, vertex: int, members, k: int) -> bool:
+    """Whether ``vertex`` extends every k-plex of ``members``, in set form.
+
+    ``vertex`` misses at most ``k - 1`` of ``members``, and each member it
+    misses misses at most ``k - 1`` of ``members``, itself included.
+    """
+    members = set(members)
+    missed = members - graph.neighbors(vertex)
+    return len(missed) <= k - 1 and all(
+        len(members - graph.neighbors(u)) <= k - 1 for u in missed
+    )
+
+
 def seed_in_large_kplex(graph: Graph, seed: int, vertices, k: int, q: int) -> bool:
     """Brute force: does some k-plex of ``>= q`` of ``vertices`` hold ``seed``?
 

@@ -197,8 +197,8 @@ def test_mine_seed_costs_include_spilled_states():
 
 # Search-tree counters of every Algorithm 3 variant on fixed generator graphs:
 # (branch_calls, maximality_rejections, outputs, branches_pruned_by_upper_bound,
-# candidates_pruned_by_pairs).  Any change to refinement, pivot choice or
-# pruning order moves at least one of them.
+# candidates_pruned_by_pairs, seeds_pruned_dominated).  Any change to
+# refinement, pivot choice or pruning order moves at least one of them.
 PINNED_GRAPHS = {
     "er24": (lambda: generators.erdos_renyi(24, 0.45, seed=1), 2, 5),
     "er26": (lambda: generators.erdos_renyi(26, 0.35, seed=7), 3, 6),
@@ -206,31 +206,31 @@ PINNED_GRAPHS = {
 }
 PINNED_TREES = {
     "er24": {
-        "ours": (792, 79, 291, 22, 243),
-        "ours_p": (819, 85, 291, 49, 232),
-        "basic": (871, 81, 291, 57, 0),
-        "basic_with_r1": (871, 81, 291, 57, 0),
-        "basic_with_r2": (808, 80, 291, 22, 243),
-        "without_upper_bound": (842, 81, 291, 0, 310),
-        "with_fp_upper_bound": (792, 79, 291, 22, 243),
+        "ours": (792, 79, 291, 22, 243, 0),
+        "ours_p": (819, 85, 291, 49, 232, 0),
+        "basic": (871, 81, 291, 57, 0, 0),
+        "basic_with_r1": (871, 81, 291, 57, 0, 0),
+        "basic_with_r2": (808, 80, 291, 22, 243, 0),
+        "without_upper_bound": (842, 81, 291, 0, 310, 0),
+        "with_fp_upper_bound": (792, 79, 291, 22, 243, 0),
     },
     "er26": {
-        "ours": (2185, 70, 615, 252, 524),
-        "ours_p": (2247, 79, 615, 293, 510),
-        "basic": (4416, 77, 615, 852, 0),
-        "basic_with_r1": (3150, 73, 615, 654, 0),
-        "basic_with_r2": (2493, 70, 615, 290, 550),
-        "without_upper_bound": (3169, 181, 615, 0, 1149),
-        "with_fp_upper_bound": (2185, 70, 615, 252, 524),
+        "ours": (2185, 70, 615, 252, 524, 0),
+        "ours_p": (2247, 79, 615, 293, 510, 0),
+        "basic": (4416, 77, 615, 852, 0, 0),
+        "basic_with_r1": (3150, 73, 615, 654, 0, 0),
+        "basic_with_r2": (2493, 70, 615, 290, 550, 0),
+        "without_upper_bound": (3169, 181, 615, 0, 1149, 0),
+        "with_fp_upper_bound": (2185, 70, 615, 252, 524, 0),
     },
     "caveman": {
-        "ours": (130, 10, 58, 19, 35),
-        "ours_p": (130, 10, 58, 19, 35),
-        "basic": (148, 10, 58, 26, 0),
-        "basic_with_r1": (148, 10, 58, 26, 0),
-        "basic_with_r2": (135, 10, 58, 19, 35),
-        "without_upper_bound": (173, 11, 58, 0, 74),
-        "with_fp_upper_bound": (130, 10, 58, 19, 35),
+        "ours": (129, 9, 58, 19, 35, 1),
+        "ours_p": (129, 9, 58, 19, 35, 1),
+        "basic": (147, 9, 58, 26, 0, 1),
+        "basic_with_r1": (147, 9, 58, 26, 0, 1),
+        "basic_with_r2": (134, 9, 58, 19, 35, 1),
+        "without_upper_bound": (172, 10, 58, 0, 74, 1),
+        "with_fp_upper_bound": (129, 9, 58, 19, 35, 1),
     },
 }
 
@@ -247,6 +247,7 @@ def test_search_tree_is_pinned(graph_name):
             stats.outputs,
             stats.branches_pruned_by_upper_bound,
             stats.candidates_pruned_by_pairs,
+            stats.seeds_pruned_dominated,
         )
         assert counters == expected, variant
 

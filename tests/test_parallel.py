@@ -53,7 +53,7 @@ def test_parallel_reports_the_heavy_seed_table(use_processes):
             options={"num_workers": 2, "use_processes": use_processes},
         )
     ).statistics
-    assert len(ours.top_seed_branch_calls()) == 31
+    assert len(ours.top_seed_branch_calls()) == 21
     assert stats.top_seed_branch_calls().keys() == ours.top_seed_branch_calls().keys()
     assert sum(stats.per_seed_branch_calls.values()) == stats.branch_calls
 

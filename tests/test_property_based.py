@@ -52,6 +52,7 @@ from _helpers import (
     assert_matches_reference_core,
     corollary_52_fixpoint,
     corollary_52_rejects,
+    dominates,
     seed_in_large_kplex,
     vertex_sets,
 )
@@ -519,11 +520,13 @@ def test_at_least_matches_counting(rows, count):
 def _selection_by_sets(graph, position, seed, k, q, use_seed_pruning):
     """Algorithm 2's vertex selection for one seed, restated on vertex sets.
 
-    Returns ``(members, pruned, rejected)``: ``members`` is ``None`` for a
-    rejected seed, else the kept later neighbours, the kept later two-hop
-    vertices and the externals (each sorted); ``pruned`` and ``rejected``
-    are what the seed adds to ``vertices_pruned_by_corollary`` and
-    ``seeds_pruned_empty``.
+    Returns ``(members, pruned, rejected, dominated)``: ``members`` is
+    ``None`` for a rejected or dominated seed, else the kept later
+    neighbours, the kept later two-hop vertices and the externals (each
+    sorted); ``pruned``, ``rejected`` and ``dominated`` are what the seed
+    adds to ``vertices_pruned_by_corollary``, ``seeds_pruned_empty`` and
+    ``seeds_pruned_dominated``.  A seed is dominated when an earlier vertex
+    extends every k-plex of its ``G_i``.
     """
     neighbors = graph.neighbors(seed)
     later = {v for v in graph.vertices() if position[v] > position[seed]}
@@ -532,7 +535,7 @@ def _selection_by_sets(graph, position, seed, k, q, use_seed_pruning):
         s_star = corollary_52_neighbors(graph, neighbors & later, k, q)
         pruned = len(neighbors & later) - len(s_star)
         if len(s_star) < q - k:
-            return None, pruned, 1
+            return None, pruned, 1, 0
         counts = {x: len(graph.neighbors(x) & s_star) for x in later - neighbors}
         two_hop = {x for x, count in counts.items() if count >= q - 2 * k + 2}
         pruned += sum(count > 0 for count in counts.values()) - len(two_hop)
@@ -541,13 +544,16 @@ def _selection_by_sets(graph, position, seed, k, q, use_seed_pruning):
         two_hop = (graph.neighborhood_within_two_hops(seed) & later) - neighbors
     members = {seed} | s_star | two_hop
     if len(members) < q:
-        return None, pruned, 1
+        return None, pruned, 1, 0
+    earlier = [x for x in graph.vertices() if position[x] < position[seed]]
+    if any(dominates(graph, x, members, k) for x in earlier):
+        return None, pruned, 0, 1
     externals = [
         x
         for x in sorted(graph.neighborhood_within_two_hops(seed))
         if position[x] < position[seed] and len(graph.neighbors(x) & members) >= q + 1 - k
     ]
-    return (sorted(s_star), sorted(two_hop), externals), pruned, 0
+    return (sorted(s_star), sorted(two_hop), externals), pruned, 0, 0
 
 
 @SETTINGS
@@ -562,8 +568,8 @@ def test_seed_selection_matches_its_set_definitions(n, p, graph_seed):
     The bitset-row path and the neighbour-set path (the index withholds rows
     from graphs too sparse for them), every seed, k = 1..4,
     q = 2k - 1..2k + 4, with and without Corollary 5.2: the kept neighbours
-    (``S*``), two-hop vertices and externals, and the two seed counters,
-    match the set definitions of the module docstring; every row equals its
+    (``S*``), two-hop vertices and externals, the dominated seeds, and the
+    three seed counters, match the set definitions of the module docstring; every row equals its
     vertex's neighbour set over degeneracy positions.  Density is drawn so
     that Corollary 5.2's fixpoint takes several rounds.
     """
@@ -590,12 +596,13 @@ def _check_seed_selection(prepared, k, q, use_seed_pruning, position):
     for seed in graph.vertices():
         stats = SearchStatistics()
         context = build_seed_context(prepared, seed, k, q, config, stats)
-        expected, pruned, rejected = _selection_by_sets(
+        expected, pruned, rejected, dominated = _selection_by_sets(
             graph, position, seed, k, q, use_seed_pruning
         )
         case = (prepared.rows is None, seed, k, q, use_seed_pruning)
         assert stats.vertices_pruned_by_corollary == pruned, case
         assert stats.seeds_pruned_empty == rejected, case
+        assert stats.seeds_pruned_dominated == dominated, case
         if expected is None:
             assert context is None, case
             continue

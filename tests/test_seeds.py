@@ -1,9 +1,14 @@
 """Unit tests for the search-space partitioning (Algorithm 2)."""
 
+import functools
 import itertools
 
+import pytest
+
+from repro.baselines.brute_force import brute_force_vertex_sets
 from repro.baselines.fp import FPLike, build_fp_seed_context
 from repro.core.config import EnumerationConfig
+from repro.core.enumerator import KPlexEnumerator
 from repro.core.kplex import is_kplex
 from repro.core.pruning import build_pair_matrix
 from repro.core.seeds import build_seed_context, iter_seed_contexts, iter_subtasks
@@ -12,8 +17,15 @@ from repro.graph import generators
 from repro.graph.core_decomposition import core_decomposition
 from repro.graph.dense import DenseSubgraph, external_adjacency_mask
 from repro.graph.prepared import prepare
+from repro.parallel import ParallelConfig, parallel_enumerate_maximal_kplexes
 
-from _helpers import corollary_52_fixpoint, random_graph_cases, seed_in_large_kplex
+from _helpers import (
+    corollary_52_fixpoint,
+    dominates,
+    random_graph_cases,
+    seed_in_large_kplex,
+    vertex_sets,
+)
 
 
 def _contexts_for(graph, k, q, config=None):
@@ -257,13 +269,18 @@ def _interleaved_context_fields(graph, position, seed, k, q):
     Restates the construction of ``build_seed_context`` on top of
     ``corollary_52_fixpoint``: the two-hop sweep first, then the rule over
     all later vertices within two hops.  Returns ``None`` when the fixpoint
-    keeps fewer than ``q`` vertices, else ``(fixpoint, fields)``.
+    keeps fewer than ``q`` vertices, else ``(fixpoint, fields)``, where
+    ``fields`` is ``None`` when an earlier vertex dominates the fixpoint.
     """
     reach = graph.neighborhood_within_two_hops(seed) - {seed}
     later = {v for v in reach if position[v] > position[seed]}
     kept = corollary_52_fixpoint(graph, seed, later, k, q)
     if len(kept) < q:
         return None
+    if any(
+        dominates(graph, v, kept, k) for v in graph.vertices() if position[v] < position[seed]
+    ):
+        return kept, None
     neighbors = sorted(kept & graph.neighbors(seed))
     two_hop = sorted(kept - graph.neighbors(seed) - {seed})
     subgraph = DenseSubgraph(graph, [seed] + neighbors + two_hop)
@@ -304,12 +321,13 @@ def test_neighbour_first_corollary_builds_the_interleaved_context():
     """Rejecting on ``S*`` before the two-hop sweep changes no kept seed.
 
     Wherever the interleaved fixpoint keeps ``q`` or more vertices the
-    context is identical field by field; elsewhere the seed is rejected.
+    context is identical field by field, unless an earlier vertex dominates
+    the fixpoint; elsewhere, and for a dominated seed, the seed is rejected.
     A seed rejected only by the ``|S*| < q - k`` cut (possible for
     ``k >= 3``) must lie in no k-plex of ``q`` or more vertices of ``G_i``.
     """
     config = EnumerationConfig.ours()
-    compared = cut_only = 0
+    compared = cut_only = dominated = 0
     for graph in random_graph_cases(10, max_vertices=14, seed=18):
         prepared = prepare(graph)
         position = prepared.position
@@ -322,6 +340,10 @@ def test_neighbour_first_corollary_builds_the_interleaved_context():
                         assert context is None, (seed, k, q)
                         continue
                     fixpoint, fields = reference
+                    if fields is None:
+                        assert context is None, (seed, k, q)
+                        dominated += 1
+                        continue
                     if context is None:
                         assert k >= 3 and len(fixpoint & graph.neighbors(seed)) < q - k
                         assert not seed_in_large_kplex(graph, seed, fixpoint, k, q)
@@ -332,10 +354,11 @@ def test_neighbour_first_corollary_builds_the_interleaved_context():
                     compared += 1
     assert compared > 50
     assert cut_only > 0
+    assert dominated > 0
 
 
 def test_seed_statistics_account_for_every_seed():
-    """``seeds + seeds_pruned_empty`` is the number of seeds tried.
+    """``seeds + seeds_pruned_empty + seeds_pruned_dominated`` is the number of seeds tried.
 
     The corollary counter grows only by vertices the rule dropped: a seed
     rejected on its neighbours adds only the later neighbours it dropped.
@@ -347,7 +370,10 @@ def test_seed_statistics_account_for_every_seed():
                 config = EnumerationConfig.ours().with_changes(use_seed_pruning=use_seed_pruning)
                 contexts, stats = _contexts_for(graph, k, q, config)
                 assert len(contexts) == len(tried)
-                assert stats.seeds + stats.seeds_pruned_empty == len(tried)
+                assert (
+                    stats.seeds + stats.seeds_pruned_empty + stats.seeds_pruned_dominated
+                    == len(tried)
+                )
                 assert stats.seeds == sum(context is not None for _, context in contexts)
                 if not use_seed_pruning:
                     assert stats.vertices_pruned_by_corollary == 0
@@ -368,3 +394,96 @@ def test_seed_rejected_on_neighbours_counts_only_dropped_neighbours():
     assert build_seed_context(prepared, seed, 1, 3, EnumerationConfig.ours(), stats) is None
     assert stats.seeds_pruned_empty == 1
     assert stats.vertices_pruned_by_corollary == 2
+
+
+# --------------------------------------------------------------------------- #
+# Dominated seeds: an earlier vertex extends every k-plex of G_i
+# --------------------------------------------------------------------------- #
+def _dominance_corpus():
+    """Graphs and parameters where the dominated-seed rule fires often.
+
+    Relaxed caveman graphs and G(n, p) at p >= 0.5, k = 1..3, q from
+    ``max(2k - 1, 2)`` to ``k + 4``.
+    """
+    graphs = []
+    for index in range(4):
+        graphs.append(generators.relaxed_caveman(2, 6, 0.3, seed=index))
+        graphs.append(generators.erdos_renyi(11, 0.5 + 0.1 * index, seed=index))
+    return [
+        (graph, k, q)
+        for graph in graphs
+        for k in (1, 2, 3)
+        for q in range(max(2 * k - 1, 2), k + 5)
+    ]
+
+
+DOMINANCE_CORPUS = _dominance_corpus()
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_force(case_index):
+    graph, k, q = DOMINANCE_CORPUS[case_index]
+    return brute_force_vertex_sets(graph, k, q)
+
+
+def _solve_enumerator(config):
+    def solve(graph, k, q):
+        result = KPlexEnumerator(graph, k, q, config).run()
+        return vertex_sets(result.kplexes), result.statistics
+
+    return solve
+
+
+def _solve_parallel_threads(graph, k, q):
+    result = parallel_enumerate_maximal_kplexes(
+        graph, k, q, ParallelConfig(num_workers=2, use_processes=False)
+    )
+    return vertex_sets(result.kplexes), result.statistics
+
+
+DOMINANCE_SOLVERS = {
+    "ours": _solve_enumerator(EnumerationConfig.ours()),
+    "ours_p": _solve_enumerator(EnumerationConfig.ours_p()),
+    "basic": _solve_enumerator(EnumerationConfig.basic()),
+    "no_seed_pruning": _solve_enumerator(
+        EnumerationConfig.ours().with_changes(use_seed_pruning=False)
+    ),
+    "parallel_threads": _solve_parallel_threads,
+}
+
+
+@pytest.mark.parametrize("solver", sorted(DOMINANCE_SOLVERS))
+def test_dropping_dominated_seeds_matches_brute_force(solver):
+    """Every solver that builds seeds with ``build_seed_context`` returns the
+    brute-force answer on a corpus where the dominated-seed rule fires."""
+    solve = DOMINANCE_SOLVERS[solver]
+    dominated = 0
+    for index, (graph, k, q) in enumerate(DOMINANCE_CORPUS):
+        found, stats = solve(graph, k, q)
+        assert found == _brute_force(index), (index, k, q)
+        dominated += stats.seeds_pruned_dominated
+    assert dominated > 50
+
+
+def test_dominated_seeds_lead_no_maximal_kplex():
+    """No maximal k-plex of ``q`` or more vertices has a seed the rule drops
+    as its earliest member in the degeneracy order of the ``(q - k)``-core."""
+    config = EnumerationConfig.ours()
+    dropped = 0
+    for index, (graph, k, q) in enumerate(DOMINANCE_CORPUS):
+        prepared, core_map = prepare(graph).prepared_core(q - k)
+        if prepared.graph.num_vertices < q:
+            continue
+        position, core_of = prepared.position, {v: c for c, v in enumerate(core_map)}
+        leaders = {
+            min((core_of[v] for v in plex), key=position.__getitem__)
+            for plex in _brute_force(index)
+        }
+        for seed in prepared.decomposition.order:
+            stats = SearchStatistics()
+            context = build_seed_context(prepared, seed, k, q, config, stats)
+            if stats.seeds_pruned_dominated:
+                assert context is None
+                assert seed not in leaders, (index, k, q, seed)
+                dropped += 1
+    assert dropped > 50

@@ -17,7 +17,6 @@ from .listplex import (
     listplex_maximal_kplexes,
     listplex_vertex_sets,
 )
-from .maximum import find_maximum_kplex, maximum_kplex_size, maximum_kplex_with_witness
 
 __all__ = [
     "BronKerboschKPlex",
@@ -35,7 +34,4 @@ __all__ = [
     "listplex_config",
     "listplex_maximal_kplexes",
     "listplex_vertex_sets",
-    "find_maximum_kplex",
-    "maximum_kplex_size",
-    "maximum_kplex_with_witness",
 ]

@@ -33,6 +33,17 @@ already refined against its ``P`` (:meth:`BranchSearcher._refined`):
 * each Eq (5)/(6) step, a root sub-task and a spilled :class:`BranchState`
   resumed by :meth:`BranchSearcher.run_state` refine from scratch.
 
+A node that is not a lines 11–14 leaf is cut before it branches when a
+vertex ``x`` of its ``X`` *dominates* it: ``x`` misses at most ``k − 1``
+vertices of ``P ∪ C`` and each of them is *loose*, missing at most ``k − 1``
+vertices of ``P ∪ C`` itself counted (the census's ``pc_saturated`` holds the
+members that are not).  Then ``S ∪ {x}`` is a k-plex for every k-plex ``S``
+with ``P ⊆ S ⊆ P ∪ C``: ``x`` misses itself and at most ``k − 1`` members of
+``S``, and a member ``u`` it misses misses at most ``k − 1`` vertices of
+``S`` and ``x``.  So no result below the node is maximal, whatever the
+variant or ``q``; ``SearchStatistics.nodes_pruned_dominated`` counts the
+cuts.  The seed's externals are not tested here, only at the leaves.
+
 A *timeout* hook supports the parallel executor of Section 6: when a
 deadline is exceeded the searcher stops recursing and emits the pending
 branch states to a task sink, turning a straggler sub-task into many smaller
@@ -223,11 +234,11 @@ class BranchSearcher:
         (
             pivot, pivot_in_p, pivot_degree_pc, in_p, saturated, one_short, tight, pc_saturated
         ) = select_pivot(context.subgraph, p_mask, c_mask, k)
+        pc_mask = p_mask | c_mask
         pc_size = p_size + c_mask.bit_count()
 
         # Lines 11-14: P ∪ C is already a k-plex.
         if pivot_degree_pc >= pc_size - k:
-            pc_mask = p_mask | c_mask
             if pc_size >= q:
                 if self._is_maximal_against(pc_mask, pc_size, x_mask, pc_saturated):
                     self.on_result(pc_mask)
@@ -235,6 +246,19 @@ class BranchSearcher:
                 else:
                     stats.maximality_rejections += 1
             return
+
+        # A vertex of X that misses at most k - 1 vertices of P ∪ C, each of
+        # them loose, extends every k-plex between P and P ∪ C: no result
+        # below this node is maximal.
+        threshold = pc_size + 1 - k
+        mask = x_mask
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            row = adjacency[low.bit_length() - 1]
+            if (row & pc_mask).bit_count() >= threshold and (pc_saturated & ~row) == 0:
+                stats.nodes_pruned_dominated += 1
+                return
 
         # Lines 15-16 / Ours_P branching.
         if pivot_in_p:

@@ -32,7 +32,10 @@ def select_pivot(
     ``G[P ∪ C]`` (line 11's k-plex test), ``|N(u) ∩ P|`` for each ``u ∈ P``,
     the members of ``P`` with ``k`` and with ``k − 1`` non-neighbours in
     ``P``, the members of ``C`` with exactly ``|P| + 1 − k`` neighbours in
-    ``P``, and the members of ``P ∪ C`` with ``|P ∪ C| − k`` neighbours in it.
+    ``P``, and the members of ``P ∪ C`` with at most ``|P ∪ C| − k``
+    neighbours in it (those that are not *loose*: a loose vertex misses at
+    most ``k − 1`` vertices of ``P ∪ C``, itself counted).  Where ``P ∪ C``
+    is a k-plex, the last mask is its saturated set.
     """
     adjacency = subgraph.adjacency
     pc_mask = p_mask | c_mask
@@ -62,7 +65,7 @@ def select_pivot(
             saturated |= low
         elif count == short_count:
             one_short |= low
-        if degree == pc_saturated_degree:
+        if degree <= pc_saturated_degree:
             pc_saturated |= low
         key = degree * stride + count
         if key < best_key:
@@ -78,7 +81,7 @@ def select_pivot(
         degree = (row & pc_mask).bit_count()
         if count == short_count:
             tight |= low
-        if degree == pc_saturated_degree:
+        if degree <= pc_saturated_degree:
             pc_saturated |= low
         key = degree * stride + count
         if key < best_key:

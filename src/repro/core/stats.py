@@ -52,6 +52,9 @@ class SearchStatistics:
     # the later neighbours dropped before the reject.
     vertices_pruned_by_corollary: int = 0
     maximality_rejections: int = 0
+    # Algorithm 3 nodes cut because one vertex of their local X extends every
+    # k-plex between P and P ∪ C (repro.core.branch).
+    nodes_pruned_dominated: int = 0
     elapsed_seconds: float = 0.0
     # Split of elapsed_seconds: graph-level preprocessing (core shrinking,
     # degeneracy ordering — near zero on a prepared-graph
@@ -115,6 +118,7 @@ class SearchStatistics:
         self.candidates_pruned_by_pairs += other.candidates_pruned_by_pairs
         self.vertices_pruned_by_corollary += other.vertices_pruned_by_corollary
         self.maximality_rejections += other.maximality_rejections
+        self.nodes_pruned_dominated += other.nodes_pruned_dominated
         self.elapsed_seconds = max(self.elapsed_seconds, other.elapsed_seconds)
         self.preprocess_seconds = max(self.preprocess_seconds, other.preprocess_seconds)
         self.search_seconds = max(self.search_seconds, other.search_seconds)
@@ -142,6 +146,7 @@ class SearchStatistics:
             "candidates_pruned_by_pairs": self.candidates_pruned_by_pairs,
             "vertices_pruned_by_corollary": self.vertices_pruned_by_corollary,
             "maximality_rejections": self.maximality_rejections,
+            "nodes_pruned_dominated": self.nodes_pruned_dominated,
             "elapsed_seconds": self.elapsed_seconds,
             "preprocess_seconds": self.preprocess_seconds,
             "search_seconds": self.search_seconds,

@@ -10,13 +10,10 @@ from repro.baselines import (
     bron_kerbosch_maximal_kplexes,
     brute_force_maximal_kplexes,
     brute_force_vertex_sets,
-    find_maximum_kplex,
     fp_config,
     fp_maximal_kplexes,
     listplex_config,
     listplex_maximal_kplexes,
-    maximum_kplex_size,
-    maximum_kplex_with_witness,
 )
 from repro.core import is_kplex, is_maximal_kplex
 from repro.errors import ParameterError
@@ -129,36 +126,3 @@ def test_listplex_like_exposes_statistics():
     result = runner.run()
     assert runner.statistics.branch_calls > 0
     assert result.count == len(result.kplexes)
-
-
-# --------------------------------------------------------------------------- #
-# Maximum k-plex extension
-# --------------------------------------------------------------------------- #
-def test_maximum_kplex_on_known_graphs():
-    assert maximum_kplex_size(Graph.complete(6), 1) == 6
-    assert maximum_kplex_size(generators.complete_multipartite([2, 2, 2]), 2) >= 4
-    diamond = Graph.from_edges([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-    assert maximum_kplex_size(diamond, 2) == 4
-
-
-def test_maximum_kplex_matches_brute_force():
-    graph = generators.erdos_renyi(12, 0.45, seed=77)
-    for k in (2, 3):
-        sizes = [len(p) for p in brute_force_vertex_sets(graph, k, 2 * k - 1)]
-        expected = max(sizes) if sizes else 0
-        assert maximum_kplex_size(graph, k) == expected
-
-
-def test_maximum_kplex_none_when_graph_too_sparse():
-    graph = generators.path_graph(6)
-    assert find_maximum_kplex(graph, 3) is None
-    size, witness = maximum_kplex_with_witness(graph, 3)
-    assert size == 0 and witness is None
-
-
-def test_maximum_kplex_witness_is_valid():
-    graph = generators.relaxed_caveman(3, 7, 0.2, seed=78)
-    size, witness = maximum_kplex_with_witness(graph, 2)
-    assert witness is not None
-    assert witness.size == size
-    assert is_kplex(graph, witness.vertices, 2)

@@ -1,9 +1,13 @@
 """Unit tests for the branch-and-bound search engine (Algorithm 3)."""
 
+import functools
+import itertools
 from collections import deque
+from unittest import mock
 
 import pytest
 
+from repro.baselines.brute_force import brute_force_vertex_sets
 from repro.baselines.fp import FPLike
 from repro.core.branch import BranchSearcher, BranchState
 from repro.core.config import EnumerationConfig
@@ -14,10 +18,17 @@ from repro.core.seeds import SubTask, build_seed_context, iter_seed_contexts, it
 from repro.core.stats import SearchStatistics
 from repro.graph import generators
 from repro.graph.prepared import prepare
+from repro.parallel import ParallelConfig, parallel_enumerate_maximal_kplexes
+
+from _helpers import vertex_sets
 
 
-def _mine_graph(graph, k, q, config):
-    """Run the full decomposition + branch search, returning result vertex sets."""
+def _mine_graph(graph, k, q, config, timeout=None):
+    """Run the full decomposition + branch search, returning result vertex sets.
+
+    With a ``timeout`` (``τ_time``), ``mine_seed`` spills and resumes branch
+    states.
+    """
     stats = SearchStatistics()
     results = set()
     for _seed, context in iter_seed_contexts(graph, k, q, config, stats):
@@ -33,6 +44,7 @@ def _mine_graph(graph, k, q, config):
             on_result=lambda mask, ctx=context: results.add(
                 frozenset(ctx.subgraph.parents_of_mask(mask))
             ),
+            timeout=timeout,
         )
     return results, stats
 
@@ -197,8 +209,9 @@ def test_mine_seed_costs_include_spilled_states():
 
 # Search-tree counters of every Algorithm 3 variant on fixed generator graphs:
 # (branch_calls, maximality_rejections, outputs, branches_pruned_by_upper_bound,
-# candidates_pruned_by_pairs, seeds_pruned_dominated).  Any change to
-# refinement, pivot choice or pruning order moves at least one of them.
+# candidates_pruned_by_pairs, seeds_pruned_dominated, nodes_pruned_dominated).
+# Any change to refinement, pivot choice or pruning order moves at least one
+# of them.
 PINNED_GRAPHS = {
     "er24": (lambda: generators.erdos_renyi(24, 0.45, seed=1), 2, 5),
     "er26": (lambda: generators.erdos_renyi(26, 0.35, seed=7), 3, 6),
@@ -206,31 +219,31 @@ PINNED_GRAPHS = {
 }
 PINNED_TREES = {
     "er24": {
-        "ours": (792, 79, 291, 22, 243, 0),
-        "ours_p": (819, 85, 291, 49, 232, 0),
-        "basic": (871, 81, 291, 57, 0, 0),
-        "basic_with_r1": (871, 81, 291, 57, 0, 0),
-        "basic_with_r2": (808, 80, 291, 22, 243, 0),
-        "without_upper_bound": (842, 81, 291, 0, 310, 0),
-        "with_fp_upper_bound": (792, 79, 291, 22, 243, 0),
+        "ours": (710, 53, 291, 12, 199, 0, 13),
+        "ours_p": (739, 61, 291, 35, 192, 0, 12),
+        "basic": (789, 55, 291, 47, 0, 0, 13),
+        "basic_with_r1": (789, 55, 291, 47, 0, 0, 13),
+        "basic_with_r2": (726, 54, 291, 12, 199, 0, 13),
+        "without_upper_bound": (736, 54, 291, 0, 239, 0, 16),
+        "with_fp_upper_bound": (710, 53, 291, 12, 199, 0, 13),
     },
     "er26": {
-        "ours": (2185, 70, 615, 252, 524, 0),
-        "ours_p": (2247, 79, 615, 293, 510, 0),
-        "basic": (4416, 77, 615, 852, 0, 0),
-        "basic_with_r1": (3150, 73, 615, 654, 0, 0),
-        "basic_with_r2": (2493, 70, 615, 290, 550, 0),
-        "without_upper_bound": (3169, 181, 615, 0, 1149, 0),
-        "with_fp_upper_bound": (2185, 70, 615, 252, 524, 0),
+        "ours": (2140, 66, 615, 235, 516, 0, 29),
+        "ours_p": (2202, 77, 615, 274, 502, 0, 30),
+        "basic": (4319, 73, 615, 805, 0, 0, 51),
+        "basic_with_r1": (3090, 69, 615, 624, 0, 0, 35),
+        "basic_with_r2": (2427, 66, 615, 272, 537, 0, 38),
+        "without_upper_bound": (2957, 141, 615, 0, 1037, 0, 61),
+        "with_fp_upper_bound": (2140, 66, 615, 235, 516, 0, 29),
     },
     "caveman": {
-        "ours": (129, 9, 58, 19, 35, 1),
-        "ours_p": (129, 9, 58, 19, 35, 1),
-        "basic": (147, 9, 58, 26, 0, 1),
-        "basic_with_r1": (147, 9, 58, 26, 0, 1),
-        "basic_with_r2": (134, 9, 58, 19, 35, 1),
-        "without_upper_bound": (172, 10, 58, 0, 74, 1),
-        "with_fp_upper_bound": (129, 9, 58, 19, 35, 1),
+        "ours": (121, 8, 58, 11, 35, 1, 7),
+        "ours_p": (121, 8, 58, 11, 35, 1, 7),
+        "basic": (139, 8, 58, 18, 0, 1, 7),
+        "basic_with_r1": (139, 8, 58, 18, 0, 1, 7),
+        "basic_with_r2": (126, 8, 58, 11, 35, 1, 7),
+        "without_upper_bound": (144, 8, 58, 0, 59, 1, 7),
+        "with_fp_upper_bound": (121, 8, 58, 11, 35, 1, 7),
     },
 }
 
@@ -248,6 +261,7 @@ def test_search_tree_is_pinned(graph_name):
             stats.branches_pruned_by_upper_bound,
             stats.candidates_pruned_by_pairs,
             stats.seeds_pruned_dominated,
+            stats.nodes_pruned_dominated,
         )
         assert counters == expected, variant
 
@@ -256,8 +270,8 @@ def test_search_tree_is_pinned(graph_name):
 # graphs.  Its seeds carry every earlier vertex within two hops as an external
 # vertex, so these move whenever maximality against externals changes.
 PINNED_FP_TREES = {
-    "er24": (885, 50, 291),
-    "er26": (5275, 78, 615),
+    "er24": (881, 47, 291),
+    "er26": (5248, 73, 615),
     "caveman": (165, 6, 58),
 }
 
@@ -280,3 +294,138 @@ def test_query_results_are_pinned():
         (0, 10, 11, 13, 14), (0, 10, 13, 14, 15), (0, 1, 2, 5, 6, 7),
         (0, 1, 5, 6, 28, 29),
     ]
+
+
+# --------------------------------------------------------------------------- #
+# Dominated nodes: a vertex of X extends every k-plex between P and P ∪ C
+# --------------------------------------------------------------------------- #
+def _dominated_node_corpus():
+    """Graphs and parameters where the dominated-node rule fires often.
+
+    G(n, p) at n = 12..15 and p = 0.4..0.7, and relaxed caveman graphs of 15
+    vertices, at k = 1..3 and q from ``max(2k - 1, 2)`` to ``k + 4``.  Then
+    twenty G(n, 0.6) at n = 14, 15 and k = 3: ``fp`` mines one sub-task per
+    seed whose X starts empty, so it needs these to cut more than 50 nodes.
+    """
+    graphs = []
+    for index, p in enumerate((0.4, 0.5, 0.6, 0.7)):
+        graphs.append(generators.erdos_renyi(12 + index, p, seed=index))
+        graphs.append(generators.relaxed_caveman(3, 5, 0.3, seed=index))
+    corpus = [
+        (graph, k, q)
+        for graph in graphs
+        for k in (1, 2, 3)
+        for q in range(max(2 * k - 1, 2), k + 5)
+    ]
+    for n in (14, 15):
+        for seed in range(10):
+            graph = generators.erdos_renyi(n, 0.6, seed=seed)
+            corpus.extend((graph, 3, q) for q in (5, 6, 7))
+    return corpus
+
+
+DOMINATED_NODE_CORPUS = _dominated_node_corpus()
+
+
+@functools.lru_cache(maxsize=None)
+def _node_corpus_answer(case_index):
+    graph, k, q = DOMINATED_NODE_CORPUS[case_index]
+    return brute_force_vertex_sets(graph, k, q)
+
+
+def _solve_variant(variant):
+    def solve(graph, k, q):
+        result = KPlexEnumerator(graph, k, q, getattr(EnumerationConfig, variant)()).run()
+        return vertex_sets(result.kplexes), result.statistics
+
+    return solve
+
+
+def _solve_fp(graph, k, q):
+    result = FPLike(graph, k, q).run()
+    return vertex_sets(result.kplexes), result.statistics
+
+
+QUERY_STRIDE = 3
+
+
+def _solve_query(graph, k, q):
+    """Query mode for every third vertex: the ``(vertex, k-plex)`` pairs it returns."""
+    stats = SearchStatistics()
+    found = set()
+    with mock.patch("repro.core.query.SearchStatistics", lambda: stats):
+        for v in range(0, graph.num_vertices, QUERY_STRIDE):
+            plexes = enumerate_kplexes_containing(graph, [v], k, q)
+            found |= {(v, members) for members in vertex_sets(plexes)}
+    return found, stats
+
+
+def _solve_parallel_threads(graph, k, q):
+    result = parallel_enumerate_maximal_kplexes(
+        graph, k, q, ParallelConfig(num_workers=2, use_processes=False)
+    )
+    return vertex_sets(result.kplexes), result.statistics
+
+
+def _solve_spilling(graph, k, q):
+    """A zero ``τ_time``: every child node is spilled, then resumed."""
+    return _mine_graph(graph, k, q, EnumerationConfig.ours(), timeout=0.0)
+
+
+DOMINATED_NODE_SOLVERS = {
+    **{variant: _solve_variant(variant) for variant in PINNED_TREES["er24"]},
+    "fp": _solve_fp,
+    "query": _solve_query,
+    "parallel_threads": _solve_parallel_threads,
+    "spill_resume": _solve_spilling,
+}
+
+
+@pytest.mark.parametrize("solver", sorted(DOMINATED_NODE_SOLVERS))
+def test_pruning_dominated_nodes_matches_brute_force(solver):
+    """Every variant, ``fp``, query mode, thread-mode ``parallel`` and a
+    spilling search return the brute-force answer on a corpus where the
+    dominated-node rule fires."""
+    solve = DOMINATED_NODE_SOLVERS[solver]
+    pruned = 0
+    for index, (graph, k, q) in enumerate(DOMINATED_NODE_CORPUS):
+        found, stats = solve(graph, k, q)
+        expected = _node_corpus_answer(index)
+        if solver == "query":
+            expected = {
+                (v, members) for members in expected for v in members if v % QUERY_STRIDE == 0
+            }
+        assert found == expected, (index, k, q)
+        pruned += stats.nodes_pruned_dominated
+    assert pruned > 50
+
+
+def test_dominated_nodes_hold_no_maximal_kplex():
+    """At each node the rule cuts, no set between ``P`` and ``P ∪ C`` is a
+    maximal k-plex of ``q`` or more vertices."""
+    branch = BranchSearcher._branch
+    cut = []
+
+    def recording_branch(searcher, p_mask, c_mask, x_mask, minimum_degree):
+        stats = searcher.stats
+        calls, pruned = stats.branch_calls, stats.nodes_pruned_dominated
+        branch(searcher, p_mask, c_mask, x_mask, minimum_degree)
+        # A cut node counts itself and recurses no further.
+        if (stats.branch_calls, stats.nodes_pruned_dominated) == (calls + 1, pruned + 1):
+            cut.append((searcher.context.subgraph, p_mask, c_mask))
+
+    checked = 0
+    with mock.patch.object(BranchSearcher, "_branch", recording_branch):
+        for graph, k, q in DOMINATED_NODE_CORPUS:
+            for config in (EnumerationConfig.ours(), EnumerationConfig.ours_p()):
+                cut.clear()
+                _, stats = _mine_graph(graph, k, q, config)
+                assert len(cut) == stats.nodes_pruned_dominated
+                for subgraph, p_mask, c_mask in cut:
+                    p = tuple(subgraph.parents_of_mask(p_mask))
+                    c = subgraph.parents_of_mask(c_mask)
+                    for size in range(max(0, q - len(p)), len(c) + 1):
+                        for extra in itertools.combinations(c, size):
+                            assert not is_maximal_kplex(graph, p + extra, k), (k, q, p, extra)
+                    checked += 1
+    assert checked > 50

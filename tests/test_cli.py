@@ -53,6 +53,7 @@ def test_enumerate_with_variant_stats_and_limit(graph_file, capsys):
     captured = capsys.readouterr()
     assert exit_code == 0
     assert "SearchStatistics" in captured.out
+    assert "nodes_pruned_dominated=" in captured.out
 
 
 def test_enumerate_bundled_dataset(capsys):

@@ -60,14 +60,18 @@ def test_statistics_record_and_merge():
     first.branch_calls = 2
     first.record_seed_calls(7, 2)
     first.outputs = 3
+    first.nodes_pruned_dominated = 4
     second = SearchStatistics()
     second.record_seed(4)
     second.branch_calls = 1
+    second.nodes_pruned_dominated = 5
     second.record_seed_calls(9, 1)
     second.elapsed_seconds = 1.5
     first.merge(second)
     assert first.seeds == 2
     assert first.branch_calls == 3
+    assert first.nodes_pruned_dominated == 9
+    assert first.as_dict()["nodes_pruned_dominated"] == 9
     assert first.per_seed_branch_calls == {7: 2, 9: 1}
     assert first.elapsed_seconds == 1.5
     assert first.outputs == 3

@@ -56,5 +56,5 @@ def test_http_demo_example(capsys):
 def test_examples_directory_contains_required_scripts():
     names = {path.name for path in EXAMPLES_DIR.glob("*.py")}
     assert {"quickstart.py", "community_detection.py", "protein_complexes.py",
-            "compare_algorithms.py", "parallel_scaling.py", "maximum_kplex.py",
+            "compare_algorithms.py", "parallel_scaling.py",
             "service_demo.py", "http_demo.py"} <= names

@@ -4,6 +4,9 @@ The drivers are exercised on purpose-built tiny workloads so the whole module
 stays fast; the full-scale reproductions live in ``benchmarks/``.
 """
 
+from types import SimpleNamespace
+from unittest import mock
+
 import pytest
 
 from repro.baselines.fp import FPLike
@@ -167,6 +170,26 @@ def test_figure7_and_figure9_on_tiny_sweep():
     series9 = figure9_basic_vs_ours(sweeps=TINY_SWEEP)
     curves9 = next(iter(series9.values()))
     assert set(curves9) == {"Basic", ALGORITHM_OURS}
+
+
+def test_vary_q_points_are_the_best_of_interleaved_solves():
+    """Each (algorithm, q) point is the fastest of ``VARY_Q_REPEATS`` solves,
+    and the repeats alternate between the algorithms."""
+    calls = []
+    times = iter([0.5, 0.2, 0.3, 0.6, 0.4, 0.1] * 2)
+
+    def fake_run(algorithm, graph, dataset, k, q):
+        calls.append((algorithm, q))
+        return SimpleNamespace(seconds=next(times))
+
+    with mock.patch("repro.experiments.figures.run_algorithm", fake_run):
+        series = figure9_basic_vs_ours(sweeps=TINY_SWEEP)
+    algorithms = ("Basic", ALGORITHM_OURS)
+    assert calls == [(algorithm, q) for q in (7, 8) for _ in range(3) for algorithm in algorithms]
+    assert next(iter(series.values())) == {
+        "Basic": {7: 0.3, 8: 0.3},
+        ALGORITHM_OURS: {7: 0.1, 8: 0.1},
+    }
 
 
 def test_figure8_speedup_on_tiny_workload():

@@ -252,7 +252,8 @@ def test_pivot_census_matches_its_definitions(node):
     ``P``, index) and every mask matches its definition; for every candidate
     ``v``, the census-fed Algorithm 4 bound equals ``support_bound`` and the
     include child ``_branch`` builds from the census equals ``_refined`` of
-    ``P ∪ {v}``.
+    ``P ∪ {v}``, unless a vertex of ``X`` dominates the node, which is then
+    cut with no child.
     """
     searcher, k, p_mask, c_mask, x_mask = node
     dense = searcher.context.subgraph
@@ -283,19 +284,32 @@ def test_pivot_census_matches_its_definitions(node):
     assert saturated == members(p_mask, lambda u: in_p_count(u) == p_size - k)
     assert one_short == members(p_mask, lambda u: in_p_count(u) == p_size - k + 1)
     assert tight == members(c_mask, lambda v: in_p_count(v) == p_size + 1 - k)
-    assert pc_saturated == members(pc_mask, lambda v: in_pc(v) == pc_mask.bit_count() - k)
+    assert pc_saturated == members(pc_mask, lambda v: in_pc(v) <= pc_mask.bit_count() - k)
     for v in iter_bits(c_mask):
         census_bound = packing_bound(adjacency, p_mask, c_mask, v, k, dict(in_p))
         assert census_bound == support_bound(dense, p_mask, c_mask, v, k)
 
     # Branch on each candidate in turn: the census says v is the pivot (and,
     # by a degree below |P ∪ C| - k, that P ∪ C is no k-plex); the rest is true.
+    # A vertex of X dominates the node when it misses at most k - 1 vertices
+    # of P ∪ C and each of them misses at most k - 1 of P ∪ C, itself counted.
+    pc_size = pc_mask.bit_count()
+    dominated = any(
+        pc_size - in_pc(x) <= k - 1
+        and all(pc_size - in_pc(u) <= k - 1 for u in iter_bits(pc_mask & ~adjacency[x]))
+        for x in iter_bits(x_mask)
+    )
     children = []
     searcher._recurse = lambda *child: children.append(child)
     for v in iter_bits(c_mask):
         census = (v, False, -k - 1, in_p, saturated, one_short, tight, pc_saturated)
+        pruned = searcher.stats.nodes_pruned_dominated
         with mock.patch.object(branch, "select_pivot", lambda *args: census):
             searcher._branch(p_mask, c_mask, x_mask, searcher._minimum_degree(p_mask))
+        assert searcher.stats.nodes_pruned_dominated == pruned + dominated
+        if dominated:
+            assert not children
+            continue
         (child_p, child_c, child_x, _), _exclude = children[-2:]
         assert child_p == p_mask | 1 << v
         assert (child_c, child_x) == searcher._refined(child_p, c_mask & ~(1 << v), x_mask)

@@ -32,6 +32,11 @@ def make_service(**config_kwargs) -> KPlexService:
     service = KPlexService(config=ServiceConfig(**config_kwargs))
     service.catalog.register("toy", EDGES)
     service.catalog.register("busy", generators.gnm_random(60, 400, seed=5))
+    # A job that must still be running a few HTTP round trips after its
+    # submission runs on "slow" (~0.5 s of search at k=2 q=4, against ~0.1 s
+    # for "busy"): while a solver thread holds the GIL, one round trip can
+    # take as long as the whole "busy" search.
+    service.catalog.register("slow", generators.gnm_random(90, 900, seed=5))
     return service
 
 
@@ -154,7 +159,7 @@ def test_job_queue_budget_maps_to_429():
     client = ServiceClient(server.url)
     client.wait_ready()
     try:
-        first = client.submit_job("busy", k=2, q=4, result_buffer=8)
+        first = client.submit_job("slow", k=2, q=4, result_buffer=8)
         second = client.submit_job("busy", k=2, q=4)
         with pytest.raises(JobQueueFullError):
             client.submit_job("busy", k=2, q=4)
@@ -167,7 +172,7 @@ def test_job_queue_budget_maps_to_429():
 
 def test_job_cancellation_stops_solver_over_http(served):
     _service, _server, client = served
-    record = client.submit_job("busy", k=2, q=4, result_buffer=50_000)
+    record = client.submit_job("slow", k=2, q=4, result_buffer=50_000)
     job_id = record["id"]
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline:
@@ -202,7 +207,7 @@ def test_job_streaming_applies_backpressure():
     client = ServiceClient(server.url)
     client.wait_ready()
     try:
-        blocker = client.submit_job("busy", k=2, q=4)["id"]
+        blocker = client.submit_job("slow", k=2, q=4)["id"]
         record = client.submit_job("busy", k=2, q=4, result_buffer=8)
         job_id = record["id"]
         stream = client.iter_job_results(job_id)

@@ -168,11 +168,6 @@ class KPlexEngine:
         """Primary names of every registered solver."""
         return solver_names()
 
-    @staticmethod
-    def solver_capabilities() -> List[dict]:
-        """Capability rows of every registered solver."""
-        return solver_table()
-
     # ------------------------------------------------------------------ #
     # Core dispatch
     # ------------------------------------------------------------------ #

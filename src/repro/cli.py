@@ -345,16 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "them cooperatively ('cancel')",
     )
     http_parser.add_argument(
-        "--breaker-threshold", type=int, default=5, metavar="N",
-        help="consecutive backend failures that open the circuit breaker "
-             "(0 disables the breaker; default: 5)",
-    )
-    http_parser.add_argument(
-        "--breaker-cooldown", type=float, default=5.0, metavar="SECONDS",
-        help="seconds the open breaker sheds load before probing again "
-             "(default: 5)",
-    )
-    http_parser.add_argument(
         "--fault", default=None, metavar="SPEC",
         help="arm the fault-injection harness (testing only), e.g. "
              "'worker_kill:1' or 'seed_delay:0.1,snapshot_torn:1'; "
@@ -757,7 +747,6 @@ def _service_from_args(args: argparse.Namespace):
     """Build the KPlexService shared by the serve and serve-http commands."""
     from .service import KPlexService, ServiceConfig
 
-    threshold = getattr(args, "breaker_threshold", 5)
     config = ServiceConfig(
         max_workers=args.workers,
         max_queue_depth=args.queue_depth,
@@ -765,8 +754,6 @@ def _service_from_args(args: argparse.Namespace):
         result_cache_entries=args.cache_entries,
         result_cache_bytes=args.cache_bytes,
         prepared_core_budget=args.core_budget,
-        breaker_failure_threshold=threshold if threshold > 0 else None,
-        breaker_cooldown_seconds=getattr(args, "breaker_cooldown", 5.0),
     )
     service = KPlexService(config=config)
     for registration in args.register:
@@ -881,7 +868,7 @@ def _command_serve_http(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    # Operational WARNING events (breaker trips, pool recoveries, snapshot
+    # Operational WARNING events (pool recoveries, snapshot
     # quarantines, slow requests) always reach stderr as JSON lines; the
     # per-request access log below stays opt-in via --access-log.
     from .obs import configure_event_logging

@@ -65,18 +65,6 @@ class ServiceClosedError(ServiceError):
     """Raised when a request reaches a service that is draining or closed."""
 
 
-class CircuitOpenError(ServiceError):
-    """Raised when the circuit breaker is open and the service sheds load.
-
-    ``retry_after`` is the breaker's remaining cooldown in seconds, surfaced
-    over HTTP as a 503 with a ``Retry-After`` header.
-    """
-
-    def __init__(self, message: str, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
 class SnapshotError(ServiceError):
     """Raised when a service snapshot cannot be written, read or validated."""
 

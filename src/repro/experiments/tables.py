@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.reporting import render_table
 from ..datasets import all_datasets
 from ..graph.properties import summarize
 from .parallel_model import best_timeout, measure_parallel_workload
@@ -196,8 +195,3 @@ def table7_memory(
             row["kplexes"] = record.num_kplexes
         rows.append(row)
     return rows
-
-
-def render_any_table(rows: Sequence[Dict[str, object]], title: str) -> str:
-    """Convenience wrapper used by the benches to print a driver's rows."""
-    return render_table(rows, title=title)

@@ -4,8 +4,8 @@ Wraps a :class:`~repro.service.KPlexService` so long enumerations become
 first-class :class:`~repro.jobs.job.Job` records instead of pinned HTTP
 connections.  A job is a streamed view of the service's own solve:
 
-* **admission and execution** — a job passes the same breaker, capacity
-  counter and worker pool as ``/v1/solve`` (beyond capacity,
+* **admission and execution** — a job passes the same capacity counter
+  and worker pool as ``/v1/solve`` (beyond capacity,
   :class:`~repro.errors.JobQueueFullError`, HTTP 429).  Its worker consumes
   :meth:`KPlexService.stream_run`, which replays a cached answer or streams
   the search and fills the cache.  Results feed the job's progress counters
@@ -41,7 +41,7 @@ from ..errors import (
 )
 from ..graph import Graph
 from ..obs import Trace, TraceRecorder, activate, current_trace, log_event
-from ..service.service import _INCONCLUSIVE, KPlexService
+from ..service.service import KPlexService
 from .job import (
     JOB_CANCELLED,
     JOB_FAILED,
@@ -158,9 +158,8 @@ class JobManager:
         ``ttl_seconds`` override the manager defaults for this job only.
 
         Raises :class:`JobQueueFullError` when the service's ``max_workers +
-        max_queue_depth`` solves and jobs are already outstanding,
-        :class:`~repro.errors.CircuitOpenError` while its breaker sheds load,
-        and :class:`ServiceClosedError` after :meth:`close`.
+        max_queue_depth`` solves and jobs are already outstanding and
+        :class:`ServiceClosedError` after :meth:`close`.
         """
         coerced = self.service._coerce(request, k, q, kwargs)
         if result_buffer is not None and result_buffer < 1:
@@ -412,14 +411,15 @@ class JobManager:
             "kplex": list(plex.labels),
         }
 
-    def _run(self, job: Job, parent_request_id: Optional[str] = None) -> object:
+    def _run(self, job: Job, parent_request_id: Optional[str] = None) -> None:
         # Each job runs under its own trace, keyed by the job's request_id
         # (= job id), so /v1/trace/<job id> shows the async work; the
         # submitting HTTP request is linked via parent_request_id.
         if self._recorder is None:
             # Tracing disabled: no recorder means nobody can ever read the
             # trace, so skip the span bookkeeping entirely.
-            return self._run_traced(job)
+            self._run_traced(job)
+            return
         trace = Trace(request_id=job.request_id)
         root = trace.span("job", job_id=job.id)
         if parent_request_id is not None:
@@ -430,16 +430,16 @@ class JobManager:
         self._recorder.record(trace)
         try:
             with activate(root):
-                return self._run_traced(job)
+                self._run_traced(job)
         finally:
             root.finish()
             trace.finish()
 
-    def _run_traced(self, job: Job) -> object:
+    def _run_traced(self, job: Job) -> None:
         if not job.try_start():
             # Cancelled while queued; the admission slot frees here.
             log_event("job_cancelled_before_start", job_id=job.id)
-            return _INCONCLUSIVE
+            return
         log_event("job_started", job_id=job.id)
         try:
             iterator, outcome = self.service.stream_run(
@@ -490,4 +490,3 @@ class JobManager:
             termination=outcome.termination,
             elapsed_seconds=outcome.elapsed_seconds,
         )
-        return _INCONCLUSIVE if cancelled else None

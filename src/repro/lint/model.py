@@ -109,9 +109,6 @@ class ClassModel:
     def owns_locks(self) -> bool:
         return bool(self.lock_attrs)
 
-    def lock_kind(self, attr: str) -> str:
-        return self.lock_attrs.get(self.canonical(attr), "?")
-
 
 class SourceModule:
     """One parsed python file plus the derived facts (see module docstring)."""

@@ -1,7 +1,7 @@
 """Structured JSON event pipeline on the ``repro.obs`` logger.
 
 Every interesting lifecycle transition in the serving stack — request
-served, job state change, breaker trip, pool recovery, snapshot
+served, job state change, pool recovery, snapshot
 quarantine — is emitted as exactly one JSON object per line through
 :func:`log_event`.  Events automatically pick up the ``request_id`` of the
 active trace so log lines correlate with ``/v1/trace/<id>`` output.

@@ -1,11 +1,10 @@
-"""Fault-tolerance layer: retry policies, circuit breaking, supervised
-pools, fault injection and process-wide resilience counters.
+"""Fault-tolerance layer: retry policies, supervised pools, fault
+injection and process-wide resilience counters.
 
 See the README's "Failure semantics" section for how these pieces compose
 across the stack (executor → service → HTTP → client).
 """
 
-from .breaker import STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN, CircuitBreaker
 from .faults import ENV_VAR as FAULT_ENV_VAR
 from .faults import FaultInjector, fault_injector
 from .retry import RetryPolicy
@@ -13,15 +12,11 @@ from .stats import ResilienceStats, resilience_stats
 from .supervisor import PoolSupervisor, SupervisionReport
 
 __all__ = [
-    "CircuitBreaker",
     "FaultInjector",
     "FAULT_ENV_VAR",
     "PoolSupervisor",
     "ResilienceStats",
     "RetryPolicy",
-    "STATE_CLOSED",
-    "STATE_HALF_OPEN",
-    "STATE_OPEN",
     "SupervisionReport",
     "fault_injector",
     "resilience_stats",

@@ -76,8 +76,8 @@ class RetryPolicy:
         """Sleep before retry ``attempt``, honouring a server ``Retry-After`` hint.
 
         The hint wins when it is longer than the local backoff (the server
-        knows its own cooldown — e.g. a circuit breaker's remaining window);
-        it is still clamped to 60s so a hostile header cannot hang the client.
+        knows its own backlog — e.g. its queue-drain estimate); it is still
+        clamped to 60s so a hostile header cannot hang the client.
         """
         delay = self.backoff(attempt, rng=rng)
         if retry_after is not None and retry_after > delay:

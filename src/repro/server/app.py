@@ -21,7 +21,6 @@ a background thread and returns it ready to accept requests.
 from __future__ import annotations
 
 import signal
-import sys
 import threading
 from http.server import ThreadingHTTPServer
 from typing import Callable, Optional, Union
@@ -347,7 +346,3 @@ def serve_http(
             except (ValueError, OSError):  # pragma: no cover
                 pass
     return server
-
-
-def _default_logger(message: str) -> None:  # pragma: no cover - CLI plumbing
-    print(message, file=sys.stderr)

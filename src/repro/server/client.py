@@ -24,10 +24,9 @@ Three transport features are opt-in:
   minutes while health checks keep failing fast);
 * ``retry=RetryPolicy(...)`` turns on resilience: ``429``/``503``
   responses are retried with jittered exponential backoff honouring the
-  server's ``Retry-After`` header (which carries the circuit breaker's
-  remaining cooldown or a queue-drain estimate), connection failures are
-  retried for idempotent ``GET`` requests only (a ``POST`` may already
-  have reached the server), and :meth:`iter_job_results` transparently
+  server's ``Retry-After`` header (a queue-drain estimate), connection
+  failures are retried for idempotent ``GET`` requests only (a ``POST`` may
+  already have reached the server), and :meth:`iter_job_results` transparently
   reconnects a dropped stream, resuming from the last yielded record's
   ``index`` so the caller sees every record exactly once.
 
@@ -35,7 +34,7 @@ For multi-replica deployments ``base_url`` may be a **list** of URLs:
 a connection failure on an idempotent ``GET`` rotates to the next
 endpoint — each endpoint is tried once for free before any ``retry``
 backoff is spent — and ``429``/``503`` answers rotate before sleeping so
-a drained or breaker-open replica sheds load to its peers.  Non-idempotent
+a drained or overloaded replica sheds load to its peers.  Non-idempotent
 requests never fail over silently.  :attr:`last_replica` carries the
 ``X-KPlex-Replica`` header of the most recent response (which replica
 actually answered, through any router or failover), and
@@ -58,7 +57,6 @@ from urllib.parse import urlsplit
 
 from ..errors import (
     CatalogError,
-    CircuitOpenError,
     GraphError,
     JobError,
     JobNotFoundError,
@@ -78,7 +76,6 @@ from ..resilience import RetryPolicy
 #: ``error.type`` labels mapped back onto local exception types.
 _ERROR_TYPES = {
     "ServiceOverloadError": ServiceOverloadError,
-    "CircuitOpenError": CircuitOpenError,
     "ServiceClosedError": ServiceClosedError,
     "CatalogError": CatalogError,
     "ParameterError": ParameterError,
@@ -642,10 +639,10 @@ class ServiceClient:
                 self.retry.sleep(failures)
                 continue
             if status in (429, 503):
-                # Overload / breaker-open: retry after the server's own
-                # hint when it gave one (any method — the request never
-                # ran, so replaying is safe).  With peers available, rotate
-                # first: a drained or breaker-open replica sheds its load.
+                # Overload / draining: retry after the server's own hint
+                # when it gave one (any method — the request never ran, so
+                # replaying is safe).  With peers available, rotate first:
+                # a drained or overloaded replica sheds its load.
                 failures += 1
                 if self.retry is not None and self.retry.should_retry(failures):
                     if len(self.endpoints) > 1:
@@ -653,10 +650,7 @@ class ServiceClient:
                     self.retry.sleep(failures, retry_after=retry_after)
                     continue
             if status >= 400:
-                exc = self._to_exception(status, reason, raw)
-                if retry_after is not None and hasattr(exc, "retry_after"):
-                    exc.retry_after = retry_after
-                raise exc
+                raise self._to_exception(status, reason, raw)
             return self._decode(raw, content_type)
 
     @staticmethod

@@ -8,9 +8,9 @@ JSON over HTTP/1.1 (stdlib only, no framework):
 Method     Path                         Meaning
 =========  ===========================  =========================================
 ``GET``    ``/healthz``                 liveness (``503`` while draining)
-``GET``    ``/readyz``                  readiness: ``503`` while draining, the
-                                        circuit breaker is open or the worker
-                                        pool is degraded to serial
+``GET``    ``/readyz``                  readiness: ``503`` while draining or
+                                        while the worker pool is degraded to
+                                        serial
 ``GET``    ``/v1/graphs``               catalog listing
 ``POST``   ``/v1/graphs``               register a graph (edges / path / dataset)
 ``POST``   ``/v1/solve``                run one enumeration request synchronously
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler
@@ -64,7 +63,6 @@ from .. import __version__
 from ..core.config import EnumerationConfig
 from ..errors import (
     CatalogError,
-    CircuitOpenError,
     JobError,
     JobNotFoundError,
     JobResultsTruncatedError,
@@ -103,10 +101,6 @@ def _classify(exc: Exception) -> Tuple[int, str]:
         # Includes JobQueueFullError: a full job table is the same
         # load-shedding signal as a full sync queue.
         return 429, type(exc).__name__
-    if isinstance(exc, CircuitOpenError):
-        # The breaker sheds load while the backend is unhealthy; the
-        # exception carries the remaining cooldown for Retry-After.
-        return 503, "CircuitOpenError"
     if isinstance(exc, ServiceClosedError):
         return 503, "ServiceClosedError"
     if isinstance(exc, ResilienceError):
@@ -265,10 +259,7 @@ class KPlexRequestHandler(BaseHTTPRequestHandler):
                     status, kind = _classify(exc)
                     if root is not None:
                         root.set(error=kind)
-                    self._send_error_body(
-                        status, kind, str(exc),
-                        retry_after=getattr(exc, "retry_after", None),
-                    )
+                    self._send_error_body(status, kind, str(exc))
         finally:
             self._finish_request(trace, root, parsed.path, started)
 
@@ -370,23 +361,17 @@ class KPlexRequestHandler(BaseHTTPRequestHandler):
     def _get_ready(self, _query: Dict[str, list]) -> None:
         """Readiness, distinct from liveness: should a router send traffic?
 
-        ``503`` while draining/closed, while the circuit breaker is *open*
-        (half-open stays ready — the probe request has to get through), and
-        while the parallel worker pool is degraded to serial execution.
-        The body always explains why.
+        ``503`` while draining/closed and while the parallel worker pool is
+        degraded to serial execution.  The body always explains why.
         """
         service = self.server.service  # type: ignore[attr-defined]
-        breaker = service.breaker
         stats = resilience_stats()
         body: Dict[str, object] = {
-            "breaker": breaker.snapshot() if breaker is not None else None,
             "pool_degraded": stats.pool_degraded,
             "recoveries_total": stats.get("pool_recoveries"),
         }
         if self.server.draining or service.closed:  # type: ignore[attr-defined]
             body["status"] = "draining"
-        elif breaker is not None and breaker.state == "open":
-            body["status"] = "breaker_open"
         elif stats.pool_degraded:
             body["status"] = "degraded"
         else:
@@ -855,7 +840,7 @@ class KPlexRequestHandler(BaseHTTPRequestHandler):
         )
 
     def _retry_after_hint(self) -> int:
-        """Derived Retry-After seconds: breaker cooldown or queue-drain ETA."""
+        """Derived Retry-After seconds: the service's queue-drain ETA."""
         service = getattr(self.server, "service", None)
         if service is None:
             return 1
@@ -865,24 +850,15 @@ class KPlexRequestHandler(BaseHTTPRequestHandler):
             log_event("retry_after_hint_failed", level=logging.WARNING, error=repr(exc))
             return 1
 
-    def _send_error_body(
-        self,
-        status: int,
-        kind: str,
-        message: str,
-        retry_after: Optional[float] = None,
-    ) -> None:
+    def _send_error_body(self, status: int, kind: str, message: str) -> None:
         encoded = json.dumps(
             {"error": {"type": kind, "message": message, "status": status}}
         ).encode("utf-8")
         headers = None
         if status in (429, 503):
-            # Derived, not hardcoded: breaker rejections carry their
-            # remaining cooldown; overload rejections get the queue-drain
-            # estimate; drain/closed 503s get the same service hint.
-            if retry_after is None:
-                retry_after = self._retry_after_hint()
-            headers = {"Retry-After": str(max(1, math.ceil(retry_after)))}
+            # Derived, not hardcoded: overload rejections and drain/closed
+            # 503s get the service's queue-drain estimate.
+            headers = {"Retry-After": str(self._retry_after_hint())}
         self._send_bytes(status, encoded, "application/json", headers)
 
     def _send_bytes(

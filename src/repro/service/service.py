@@ -42,12 +42,7 @@ from ..api.response import (
     TERMINATION_TIMEOUT,
     EnumerationResponse,
 )
-from ..errors import (
-    CircuitOpenError,
-    ParameterError,
-    ServiceClosedError,
-    ServiceOverloadError,
-)
+from ..errors import ParameterError, ServiceClosedError, ServiceOverloadError
 from ..core.kplex import KPlex
 from ..graph import Graph
 from ..obs import (
@@ -58,7 +53,7 @@ from ..obs import (
     log_event,
     span,
 )
-from ..resilience import CircuitBreaker, resilience_stats
+from ..resilience import resilience_stats
 from .cache import ResultCache, result_cache_key
 from .catalog import GraphCatalog
 from .sizing import estimate_kplex_bytes
@@ -88,13 +83,6 @@ class ServiceConfig:
     prepared_core_budget:
         Per-graph cap on retained ``core(level)`` subgraphs, applied through
         the catalog on registration (the prepared-index memory budget).
-    breaker_failure_threshold:
-        Consecutive backend failures that open the circuit breaker (new
-        submissions are then shed with :class:`~repro.errors.CircuitOpenError`
-        → HTTP 503 + ``Retry-After``).  ``None`` disables the breaker.
-    breaker_cooldown_seconds:
-        How long the breaker stays open before letting one half-open probe
-        request through.
     """
 
     max_workers: int = 4
@@ -103,8 +91,6 @@ class ServiceConfig:
     result_cache_entries: Optional[int] = 256
     result_cache_bytes: Optional[int] = 64 * 1024 * 1024
     prepared_core_budget: Optional[int] = None
-    breaker_failure_threshold: Optional[int] = 5
-    breaker_cooldown_seconds: float = 5.0
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
@@ -117,16 +103,6 @@ class ServiceConfig:
             raise ParameterError(
                 "default_timeout_seconds must be non-negative, got "
                 f"{self.default_timeout_seconds}"
-            )
-        if self.breaker_failure_threshold is not None and self.breaker_failure_threshold < 1:
-            raise ParameterError(
-                "breaker_failure_threshold must be >= 1 (or None to disable), "
-                f"got {self.breaker_failure_threshold}"
-            )
-        if self.breaker_cooldown_seconds <= 0:
-            raise ParameterError(
-                "breaker_cooldown_seconds must be > 0, got "
-                f"{self.breaker_cooldown_seconds}"
             )
 
 
@@ -355,11 +331,6 @@ class _Inflight:
         self.exception: Optional[BaseException] = None
 
 
-#: Returned by an admitted task whose run proves nothing about backend health
-#: (a cancelled job): dispatch frees a half-open probe slot, closing nothing.
-_INCONCLUSIVE = object()
-
-
 def _replay(
     response: EnumerationResponse, cancel: Optional[CancellationToken]
 ) -> "tuple[Iterator[KPlex], StreamOutcome]":
@@ -415,14 +386,6 @@ class KPlexService:
             )
         )
         self._metrics = ServiceMetrics()
-        self._breaker: Optional[CircuitBreaker] = (
-            None
-            if self.config.breaker_failure_threshold is None
-            else CircuitBreaker(
-                failure_threshold=self.config.breaker_failure_threshold,
-                cooldown_seconds=self.config.breaker_cooldown_seconds,
-            )
-        )
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._admission_lock = threading.Lock()
@@ -582,23 +545,12 @@ class KPlexService:
             self._result_cache.invalidate_graph(entry.graph)
         return epoch
 
-    @property
-    def breaker(self) -> Optional[CircuitBreaker]:
-        """The service's circuit breaker (``None`` when disabled)."""
-        return self._breaker
-
     def retry_after_hint(self) -> int:
         """Seconds a rejected client should wait before retrying.
 
-        Breaker open → the remaining cooldown.  Otherwise (admission-control
-        429s) → an estimate of when the queue will have drained: queue waves
-        ahead of the caller times the observed p50 latency, clamped to
-        [1, 60].
+        An estimate of when the queue will have drained: queue waves ahead
+        of the caller times the observed p50 latency, clamped to [1, 60].
         """
-        if self._breaker is not None:
-            remaining = self._breaker.retry_after_seconds()
-            if remaining > 0:
-                return max(1, math.ceil(remaining))
         return self._metrics.queue_eta_seconds(self.config.max_workers)
 
     def metrics(self) -> Dict[str, object]:
@@ -617,9 +569,6 @@ class KPlexService:
         # death" signal dashboards and the CI chaos smoke alert on.
         snapshot["recoveries_total"] = resilience["pool_recoveries"]
         snapshot["resilience"] = resilience
-        snapshot["breaker"] = (
-            self._breaker.snapshot() if self._breaker is not None else None
-        )
         snapshot["telemetry"] = self.telemetry.snapshot()
         return snapshot
 
@@ -692,11 +641,9 @@ class KPlexService:
             return self._pool
 
     def _admit(self, task: Callable[..., object], *args: object) -> Future:
-        """Run ``task(*args)`` on the pool past the breaker and capacity gates.
+        """Run ``task(*args)`` on the pool past the capacity gate.
 
-        The one admission path of solves and jobs.  A half-open breaker lets
-        one caller per cooldown through as the probe; its outcome closes or
-        re-opens the circuit.
+        The one admission path of solves and jobs.
         """
         if self._closed:
             raise ServiceClosedError(
@@ -705,35 +652,20 @@ class KPlexService:
         # Admission is microseconds of lock work: it annotates the active
         # span instead of opening its own (span creation would dominate it).
         active_span = current_span()
-        if self._breaker is not None and not self._breaker.allow():
-            retry_after = max(1.0, self._breaker.retry_after_seconds())
-            self._metrics.record_rejected()
-            raise CircuitOpenError(
-                "circuit breaker open: the enumeration backend is unhealthy "
-                f"(state={self._breaker.state}); retry in {retry_after:.0f}s",
-                retry_after=retry_after,
-            )
         capacity = self.config.max_workers + self.config.max_queue_depth
-        try:
-            with self._admission_lock:
-                if self._outstanding >= capacity:
-                    self._metrics.record_rejected()
-                    if active_span is not None:
-                        active_span.set(admission_rejected=True)
-                    raise ServiceOverloadError(
-                        f"service at capacity: {self._outstanding} requests outstanding "
-                        f"(max_workers={self.config.max_workers}, "
-                        f"max_queue_depth={self.config.max_queue_depth})"
-                    )
-                self._outstanding += 1
+        with self._admission_lock:
+            if self._outstanding >= capacity:
+                self._metrics.record_rejected()
                 if active_span is not None:
-                    active_span.set(outstanding=self._outstanding)
-        except BaseException:
-            # The request passed the breaker gate but never ran: release a
-            # half-open probe slot it may hold, or the breaker jams open.
-            if self._breaker is not None:
-                self._breaker.cancel_probe()
-            raise
+                    active_span.set(admission_rejected=True)
+                raise ServiceOverloadError(
+                    f"service at capacity: {self._outstanding} requests outstanding "
+                    f"(max_workers={self.config.max_workers}, "
+                    f"max_queue_depth={self.config.max_queue_depth})"
+                )
+            self._outstanding += 1
+            if active_span is not None:
+                active_span.set(outstanding=self._outstanding)
         self._metrics.record_admitted()
         try:
             future = self._ensure_pool().submit(self._dispatch, task, args, time.time())
@@ -741,32 +673,20 @@ class KPlexService:
             with self._admission_lock:
                 self._outstanding -= 1
             self._metrics.record_outcome(error=True, started=False)
-            if self._breaker is not None:
-                self._breaker.cancel_probe()
             raise
         future.add_done_callback(self._on_done)
         return future
 
     def _dispatch(self, task: Callable[..., object], args: tuple, submitted_at: float) -> object:
-        """Run one admitted task on a worker; record its outcome and health."""
+        """Run one admitted task on a worker and record its outcome."""
         self._metrics.record_queue_wait(time.time() - submitted_at)
         self._metrics.record_started()
         try:
             value = task(*args)
-        except BaseException as exc:
+        except BaseException:
             self._metrics.record_outcome(error=True)
-            # Bad parameters say nothing about backend health; everything
-            # else (solver crashes, poison tasks, engine errors) counts
-            # toward opening the circuit.
-            if self._breaker is not None and not isinstance(exc, ParameterError):
-                self._breaker.record_failure()
             raise
         self._metrics.record_outcome()
-        if self._breaker is not None:
-            if value is _INCONCLUSIVE:
-                self._breaker.cancel_probe()
-            else:
-                self._breaker.record_success()
         return value
 
     def _on_done(self, future: Future) -> None:
@@ -775,10 +695,8 @@ class KPlexService:
         if future.cancelled():
             # Cancelled before _dispatch ran (close(drain=False), or a job
             # cancelled while queued): settle the in-flight gauge the
-            # admission path incremented and free a probe slot it may hold.
+            # admission path incremented.
             self._metrics.record_cancelled()
-            if self._breaker is not None:
-                self._breaker.cancel_probe()
 
     def _apply_defaults(self, request: EnumerationRequest) -> EnumerationRequest:
         if (

@@ -3,20 +3,22 @@
 Each test arms the process-wide :class:`~repro.resilience.FaultInjector`
 (exactly what ``REPRO_FAULT`` / ``serve-http --fault`` arm in production)
 and asserts the failure *semantics* the README promises: worker deaths
-recover bit-identically, the circuit breaker sheds load with honest
-``Retry-After`` values and closes again, dropped result streams resume
-exactly where they left off, and torn snapshots quarantine instead of
-crash-looping the boot.
+recover bit-identically, every backend failure is answered with its own
+structured 500 and sheds no later request, overload answers carry an
+honest ``Retry-After`` that a retrying client rides out, dropped result
+streams resume exactly where they left off, and torn snapshots quarantine
+instead of crash-looping the boot.
 """
 
 import json
+import threading
 import time
 from http.client import HTTPConnection
 from urllib.parse import urlsplit
 
 import pytest
 
-from repro.errors import CircuitOpenError, RemoteServiceError, SnapshotError
+from repro.errors import RemoteServiceError, SnapshotError
 from repro.graph import generators
 from repro.resilience import RetryPolicy, fault_injector, resilience_stats
 from repro.server import (
@@ -86,7 +88,6 @@ def test_readyz_is_ready_and_distinct_from_healthz(served):
     status, _headers, body = _raw_request(server.url, "GET", "/readyz")
     payload = json.loads(body)
     assert status == 200 and payload["status"] == "ready"
-    assert payload["breaker"]["state"] == "closed"
     assert payload["pool_degraded"] is False
     assert payload["recoveries_total"] == 0
 
@@ -101,60 +102,30 @@ def test_readyz_reports_degraded_pool_as_not_ready(served):
 
 
 # --------------------------------------------------------------------------- #
-# Circuit breaker over the wire
+# Backend failures over the wire: answered one by one, never shed
 # --------------------------------------------------------------------------- #
-def test_breaker_opens_sheds_load_and_recloses():
-    service = make_service(
-        breaker_failure_threshold=1, breaker_cooldown_seconds=0.4
-    )
-    server = start_server(service, port=0)
-    client = ServiceClient(server.url)
-    client.wait_ready()
-    try:
-        # A deterministically crashing seed fails the backend request...
-        fault_injector().configure("seed_crash:0")
+def test_backend_failures_are_answered_one_by_one_and_never_shed(served):
+    service, server, client = served
+    # A deterministically crashing seed fails every parallel solve.  Six in
+    # a row, and each one is answered with its own structured 500: no gate
+    # turns later requests away because earlier ones failed.
+    fault_injector().configure("seed_crash:0")
+    for _attempt in range(6):
         with pytest.raises(RemoteServiceError) as excinfo:
             client.solve("caveman", k=2, q=4, solver="parallel", options=PARALLEL)
-        assert excinfo.value.kind == "PoisonTaskError"
         assert excinfo.value.status == 500
-
-        # ...which trips the threshold-1 breaker: shed with Retry-After.
-        with pytest.raises(CircuitOpenError):
-            client.solve("toy", k=2, q=3)
-        status, headers, _body = _raw_request(
-            server.url, "POST", "/v1/solve",
-            {"graph": "toy", "k": 2, "q": 3},
-        )
-        assert status == 503
-        assert 1 <= int(headers["Retry-After"]) <= 60
-        status, _headers, body = _raw_request(server.url, "GET", "/readyz")
-        assert status == 503 and json.loads(body)["status"] == "breaker_open"
-
-        # Breaker rejections never poison the job path either.
-        with pytest.raises(CircuitOpenError):
-            client.submit_job("toy", k=2, q=3)
-
-        # After the cooldown the probe request closes the circuit again.
-        fault_injector().clear()
-        deadline_attempts = 50
-        while deadline_attempts:
-            try:
-                response = client.solve("toy", k=2, q=3)
-                break
-            except CircuitOpenError:
-                deadline_attempts -= 1
-                time.sleep(0.05)
-        assert response["count"] == 1
-        status, _headers, body = _raw_request(server.url, "GET", "/readyz")
-        assert status == 200 and json.loads(body)["breaker"]["state"] == "closed"
-    finally:
-        server.drain()
+        assert excinfo.value.kind == "PoisonTaskError"
+    assert service.metrics()["rejected"] == 0
+    fault_injector().clear()
+    assert client.solve("toy", k=2, q=3)["count"] == 1
+    job = client.submit_job("toy", k=2, q=3)
+    assert client.wait_job(job["id"])["state"] == "succeeded"
+    status, _headers, body = _raw_request(server.url, "GET", "/readyz")
+    assert status == 200 and json.loads(body)["status"] == "ready"
 
 
-def test_client_retry_rides_out_an_open_breaker():
-    service = make_service(
-        breaker_failure_threshold=1, breaker_cooldown_seconds=0.2
-    )
+def test_client_retry_rides_out_a_queue_full_429():
+    service = make_service(max_workers=1, max_queue_depth=0)
     server = start_server(service, port=0)
     patient = ServiceClient(
         server.url,
@@ -162,13 +133,28 @@ def test_client_retry_rides_out_an_open_breaker():
     )
     patient.wait_ready()
     try:
-        fault_injector().configure("seed_crash:0")
-        with pytest.raises(RemoteServiceError):
-            patient.solve("caveman", k=2, q=4, solver="parallel", options=PARALLEL)
-        fault_injector().clear()
-        # No manual waiting: the retrying client honours Retry-After and
-        # lands after the breaker's cooldown.
-        assert patient.solve("toy", k=2, q=3)["count"] == 1
+        # A job whose 8-record buffer nobody reads holds the only worker.
+        blocker = patient.submit_job("busy", k=2, q=4, result_buffer=8)
+        outcome = {}
+
+        def solve():
+            started = time.perf_counter()
+            outcome["count"] = patient.solve("toy", k=2, q=3)["count"]
+            outcome["elapsed"] = time.perf_counter() - started
+
+        thread = threading.Thread(target=solve)
+        thread.start()
+        deadline = time.monotonic() + 30
+        while service.metrics()["rejected"] < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        # The first attempt got a 429; free the worker while the client
+        # sleeps out the derived Retry-After (at least 1s).
+        patient.cancel_job(blocker["id"])
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert outcome["count"] == 1
+        assert outcome["elapsed"] >= 1.0
+        assert service.metrics()["rejected"] >= 1
     finally:
         server.drain()
 
@@ -324,17 +310,15 @@ def test_quarantine_never_overwrites_an_earlier_corpse(tmp_path):
 # --------------------------------------------------------------------------- #
 # CLI surface for the harness
 # --------------------------------------------------------------------------- #
-def test_cli_exposes_fault_and_breaker_flags():
+def test_cli_exposes_fault_and_retry_flags():
     from repro.cli import _build_parser
 
     args = _build_parser().parse_args(
-        [
-            "serve-http", "--port", "0", "--fault", "worker_kill:1",
-            "--breaker-threshold", "2", "--breaker-cooldown", "0.5",
-        ]
+        ["serve-http", "--port", "0", "--fault", "worker_kill:1"]
     )
     assert args.fault == "worker_kill:1"
-    assert args.breaker_threshold == 2 and args.breaker_cooldown == 0.5
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args(["serve-http", "--breaker-threshold", "2"])
     jobs_args = _build_parser().parse_args(
         ["jobs", "stream", "abc", "--retries", "3"]
     )

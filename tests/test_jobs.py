@@ -33,7 +33,6 @@ from repro.jobs import (
     JobManagerConfig,
     ResultLog,
 )
-from repro.resilience.breaker import STATE_HALF_OPEN
 from repro.service import KPlexService, ServiceConfig
 from repro.service.sizing import estimate_kplex_bytes
 
@@ -658,43 +657,6 @@ def test_cancelled_pending_job_frees_its_service_slot():
         solve = manager.service.submit("toy", k=2, q=3)  # admitted in its place
     assert solve.result(timeout=10).count == 1
     assert manager.metrics()["cancelled"] == 2
-    manager.close()
-    manager.service.close()
-
-
-def test_job_cancelled_while_queued_frees_the_breaker_probe():
-    manager = make_manager(
-        max_workers=1, breaker_failure_threshold=1, breaker_cooldown_seconds=0.05
-    )
-    with busy_worker(manager):
-        manager.service.breaker.record_failure()  # open; half-open after the cooldown
-        time.sleep(0.1)
-        probe = manager.submit("toy", k=2, q=3)  # takes the one probe slot, queued
-        manager.cancel(probe.id)
-        manager.cancel(manager.submit("toy", k=2, q=3).id)  # a new probe may pass
-    manager.close()
-    manager.service.close()
-
-
-def test_cancelled_probe_job_leaves_the_breaker_half_open():
-    manager = make_manager(
-        max_workers=1, breaker_failure_threshold=1, breaker_cooldown_seconds=0.05
-    )
-    breaker = manager.service.breaker
-    breaker.record_failure()  # open; half-open after the cooldown
-    time.sleep(0.1)
-    probe = manager.submit("busy", k=2, q=4, result_buffer=1)  # the probe
-    pin = probe.results.attach(0)  # holds the probe mid-stream
-    deadline = time.monotonic() + 10
-    while probe.result_count == 0 and time.monotonic() < deadline:
-        time.sleep(0.002)
-    assert probe.state == JOB_RUNNING
-    manager.cancel(probe.id)
-    probe.results.detach(pin)
-    assert manager.wait(probe.id, timeout=10).state == JOB_CANCELLED
-    probe.future.result(timeout=10)  # the dispatch has settled the breaker
-    assert breaker.state == STATE_HALF_OPEN
-    assert breaker.allow()  # the probe slot is free for the next caller
     manager.close()
     manager.service.close()
 

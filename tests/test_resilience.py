@@ -1,11 +1,10 @@
 """Unit tests for the fault-tolerance layer (:mod:`repro.resilience`).
 
-Covers the building blocks in isolation — retry policy arithmetic, the
-circuit-breaker state machine under a fake clock, fault-spec parsing and
-driver-side budgets, the pool supervisor's recover/poison/degrade logic
-against scripted executors — plus the parallel executor's integration
-with them under injected worker faults.  End-to-end chaos over HTTP
-lives in ``test_chaos.py``.
+Covers the building blocks in isolation — retry policy arithmetic,
+fault-spec parsing and driver-side budgets, the pool supervisor's
+recover/poison/degrade logic against scripted executors — plus the
+parallel executor's integration with them under injected worker faults.
+End-to-end chaos over HTTP lives in ``test_chaos.py``.
 """
 
 from concurrent.futures import BrokenExecutor, Future
@@ -18,10 +17,6 @@ from repro.graph import invalidate
 from repro.graph.generators import relaxed_caveman
 from repro.parallel import ParallelConfig, parallel_enumerate_maximal_kplexes
 from repro.resilience import (
-    STATE_CLOSED,
-    STATE_HALF_OPEN,
-    STATE_OPEN,
-    CircuitBreaker,
     FaultInjector,
     PoolSupervisor,
     RetryPolicy,
@@ -90,93 +85,6 @@ def test_retry_policy_validation():
         RetryPolicy(jitter=1.5)
     with pytest.raises(ValueError):
         RetryPolicy(backoff_multiplier=0.5)
-
-
-# --------------------------------------------------------------------------- #
-# CircuitBreaker
-# --------------------------------------------------------------------------- #
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-def test_breaker_opens_at_threshold_and_recloses_via_probe():
-    clock = FakeClock()
-    breaker = CircuitBreaker(failure_threshold=2, cooldown_seconds=5.0, clock=clock)
-    assert breaker.state == STATE_CLOSED and breaker.allow()
-    breaker.record_failure()
-    assert breaker.state == STATE_CLOSED  # below threshold
-    breaker.record_failure()
-    assert breaker.state == STATE_OPEN
-    assert not breaker.allow()
-    assert breaker.retry_after_seconds() == pytest.approx(5.0)
-
-    clock.advance(5.1)
-    assert breaker.state == STATE_HALF_OPEN
-    assert breaker.allow()        # the single probe slot
-    assert not breaker.allow()    # everyone else still refused
-    breaker.record_success()
-    assert breaker.state == STATE_CLOSED and breaker.allow()
-
-
-def test_breaker_failed_probe_reopens_for_a_full_cooldown():
-    clock = FakeClock()
-    breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=2.0, clock=clock)
-    breaker.record_failure()
-    clock.advance(2.5)
-    assert breaker.allow()
-    breaker.record_failure()
-    assert breaker.state == STATE_OPEN
-    assert breaker.retry_after_seconds() == pytest.approx(2.0)
-    assert not breaker.allow()
-
-
-def test_breaker_cancel_probe_releases_the_slot():
-    clock = FakeClock()
-    breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=1.0, clock=clock)
-    breaker.record_failure()
-    clock.advance(1.5)
-    assert breaker.allow()
-    assert not breaker.allow()  # slot taken
-    breaker.cancel_probe()      # the probe never ran (e.g. queue full)
-    assert breaker.allow()      # slot handed out again — breaker cannot jam
-    breaker.record_success()
-    assert breaker.state == STATE_CLOSED
-
-
-def test_breaker_success_resets_consecutive_failures():
-    breaker = CircuitBreaker(failure_threshold=3)
-    breaker.record_failure()
-    breaker.record_failure()
-    breaker.record_success()
-    breaker.record_failure()
-    breaker.record_failure()
-    assert breaker.state == STATE_CLOSED
-
-
-def test_breaker_snapshot_counts_rejections_and_trips():
-    clock = FakeClock()
-    breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=10.0, clock=clock)
-    breaker.record_failure()
-    assert not breaker.allow()
-    assert not breaker.allow()
-    snap = breaker.snapshot()
-    assert snap["state"] == STATE_OPEN and snap["is_open"] == 1
-    assert snap["opened_total"] == 1 and snap["rejected_total"] == 2
-    assert 0 < snap["cooldown_remaining_seconds"] <= 10.0
-
-
-def test_breaker_validation():
-    with pytest.raises(ValueError):
-        CircuitBreaker(failure_threshold=0)
-    with pytest.raises(ValueError):
-        CircuitBreaker(cooldown_seconds=0)
 
 
 # --------------------------------------------------------------------------- #

@@ -7,12 +7,15 @@ regressions in any of them are visible independently of the end-to-end
 tables.
 """
 
+import pytest
+
 from repro.core import EnumerationConfig, iter_seed_contexts
 from repro.core.bounds import support_bound
 from repro.core.pruning import build_pair_matrix
 from repro.core.seeds import iter_subtasks
 from repro.core.stats import SearchStatistics
 from repro.datasets import load_dataset
+from repro.graph import Graph, read_edge_list
 from repro.graph.core_decomposition import core_decomposition, shrink_to_core
 from repro.graph.generators import barabasi_albert
 from repro.graph.prepared import prepare
@@ -26,6 +29,33 @@ def _first_context(graph, k, q):
         if context is not None and context.candidate_mask.bit_count() >= 6:
             return context
     raise AssertionError("no usable seed context found")
+
+
+@pytest.fixture(scope="module")
+def sparse_edge_list(tmp_path_factory):
+    """A Barabási–Albert graph (10^5 vertices, 3 attachments) as edges and file."""
+    graph = barabasi_albert(100_000, 3, seed=1)
+    edges = graph.edges()
+    path = tmp_path_factory.mktemp("ingest") / "ba-100k.txt"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("# Undirected graph: Barabasi-Albert n=100000 m=3\n# FromNodeId\tToNodeId\n")
+        handle.writelines(f"{u}\t{v}\n" for u, v in edges)
+    return edges, path
+
+
+@pytest.mark.parametrize("source", ["from_edges", "read_edge_list"])
+def test_bench_graph_ingest(benchmark, sparse_edge_list, source):
+    """Build the sparse graph from its edge list, or read it from a SNAP file.
+
+    The scale of the sparse SNAP graphs; no time bound, the counts pin the
+    work.
+    """
+    edges, path = sparse_edge_list
+    if source == "from_edges":
+        graph = benchmark(Graph.from_edges, edges)
+    else:
+        graph = benchmark(read_edge_list, path)
+    assert (graph.num_vertices, graph.num_edges) == (100_000, len(edges))
 
 
 def test_bench_degeneracy_ordering(benchmark):

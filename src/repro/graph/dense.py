@@ -110,7 +110,7 @@ class DenseSubgraph:
         """Materialise the subgraph as a :class:`Graph` plus the vertex map."""
         adjacency = [bits_to_list(self.adjacency[v]) for v in range(self.size)]
         labels = [self.parent.label(vertex) for vertex in self.vertices]
-        return Graph(adjacency, labels), list(self.vertices)
+        return Graph._trusted(adjacency, labels), list(self.vertices)
 
     def __repr__(self) -> str:
         edges = sum(row.bit_count() for row in self.adjacency) // 2

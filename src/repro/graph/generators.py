@@ -350,12 +350,14 @@ def paper_figure3_graph() -> Graph:
 
 def disjoint_union(graphs: Iterable[Graph]) -> Graph:
     """Return the disjoint union of the given graphs (labels are re-assigned)."""
-    edges: List[Tuple[int, int]] = []
-    offset = 0
-    total = 0
+    adjacency: List[Set[int]] = []
     for graph in graphs:
-        for u, v in graph.edges():
-            edges.append((u + offset, v + offset))
-        offset += graph.num_vertices
-        total = offset
-    return Graph.from_edges(edges, vertices=range(total))
+        offset = len(adjacency)
+        for u in graph.vertices():
+            # Add the neighbours in the order ``from_edges`` over ``edges()``
+            # would, so each set (and so ``edges()``) iterates as it did.
+            neigh = graph.neighbors(u)
+            row = sorted(v + offset for v in neigh if v < u)
+            row.extend(v + offset for v in neigh if v > u)
+            adjacency.append(set(row))
+    return Graph._trusted(adjacency, list(range(len(adjacency))))

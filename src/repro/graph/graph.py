@@ -49,28 +49,37 @@ class Graph:
         adjacency: Sequence[Iterable[int]],
         labels: Optional[Sequence[Hashable]] = None,
     ) -> None:
-        self._adjacency: List[FrozenSet[int]] = [frozenset(neigh) for neigh in adjacency]
-        n = len(self._adjacency)
-        for vertex, neighbours in enumerate(self._adjacency):
+        frozen = [frozenset(neigh) for neigh in adjacency]
+        n = len(frozen)
+        for vertex, neighbours in enumerate(frozen):
             for other in neighbours:
                 if other < 0 or other >= n:
                     raise GraphError(f"neighbour {other} of vertex {vertex} is out of range")
                 if other == vertex:
                     raise GraphError(f"self-loop at vertex {vertex}")
-                if vertex not in self._adjacency[other]:
+                if vertex not in frozen[other]:
                     raise GraphError(f"edge ({vertex}, {other}) is not symmetric")
-        if labels is None:
-            self._labels: List[Hashable] = list(range(n))
-        else:
-            if len(labels) != n:
-                raise GraphError("labels must have one entry per vertex")
-            self._labels = list(labels)
-        self._label_index: Dict[Hashable, int] = {
-            label: index for index, label in enumerate(self._labels)
-        }
-        if len(self._label_index) != n:
+        labels = list(range(n)) if labels is None else list(labels)
+        if len(labels) != n:
+            raise GraphError("labels must have one entry per vertex")
+        label_index = {label: index for index, label in enumerate(labels)}
+        if len(label_index) != n:
             raise GraphError("vertex labels must be unique")
-        self._num_edges = sum(len(neigh) for neigh in self._adjacency) // 2
+        self._set_fields(frozen, labels, label_index)
+
+    def _set_fields(
+        self,
+        adjacency: List[FrozenSet[int]],
+        labels: List[Hashable],
+        label_index: Optional[Dict[Hashable, int]] = None,
+    ) -> None:
+        """Set every field; the caller guarantees a valid symmetric graph."""
+        if label_index is None:
+            label_index = {label: index for index, label in enumerate(labels)}
+        self._adjacency = adjacency
+        self._labels = labels
+        self._label_index = label_index
+        self._num_edges = sum(map(len, adjacency)) // 2
         self._degrees: Optional[Tuple[int, ...]] = None
         # Lazily attached repro.graph.prepared.PreparedGraph; lives and dies
         # with this object so repeated queries reuse the preprocessing.
@@ -78,7 +87,22 @@ class Graph:
         # Cache-coherency counter for the serving layer: any out-of-band
         # change to this object (or an explicit invalidation) bumps it, so
         # result caches keyed by (graph, epoch) can never serve stale data.
+        # It is a per-process token, not part of the graph's value, so
+        # unpickled copies start a fresh sequence too.
         self._epoch = 0
+
+    @classmethod
+    def _trusted(
+        cls,
+        adjacency: Iterable[Iterable[int]],
+        labels: List[Hashable],
+        label_index: Optional[Dict[Hashable, int]] = None,
+    ) -> "Graph":
+        """Build from rows an internal builder made symmetric, loop-free, in
+        range and with unique labels, without checking any of it again."""
+        graph = cls.__new__(cls)
+        graph._set_fields([frozenset(neigh) for neigh in adjacency], labels, label_index)
+        return graph
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -96,27 +120,32 @@ class Graph:
         ``vertices`` may list isolated vertices (or simply fix the label
         order); any endpoint not listed is appended in first-seen order.
         """
-        labels: List[Hashable] = []
         index: Dict[Hashable, int] = {}
         adjacency: List[set] = []
-
-        def intern(label: Hashable) -> int:
-            if label not in index:
-                index[label] = len(labels)
-                labels.append(label)
-                adjacency.append(set())
-            return index[label]
-
-        if vertices is not None:
-            for label in vertices:
-                intern(label)
-        for u_label, v_label in edges:
-            u = intern(u_label)
-            v = intern(v_label)
-            if u != v:
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-        return cls(adjacency, labels)
+        get = index.get
+        kind, item = "vertex label", vertices
+        try:
+            for item in vertices if vertices is not None else ():
+                if item not in index:
+                    index[item] = len(adjacency)
+                    adjacency.append(set())
+            kind, item = "edge", edges
+            for item in edges:
+                u_label, v_label = item
+                u = get(u_label)
+                if u is None:
+                    u = index[u_label] = len(adjacency)
+                    adjacency.append(set())
+                v = get(v_label)
+                if v is None:
+                    v = index[v_label] = len(adjacency)
+                    adjacency.append(set())
+                if u != v:
+                    adjacency[u].add(v)
+                    adjacency[v].add(u)
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"malformed {kind} {item!r}: {exc}") from exc
+        return cls._trusted(adjacency, list(index), index)
 
     @classmethod
     def empty(cls, num_vertices: int) -> "Graph":
@@ -146,12 +175,9 @@ class Graph:
         """Iterate over the internal vertex ids ``0 .. n-1``."""
         return iter(range(self.num_vertices))
 
-    def edges(self) -> Iterator[Tuple[int, int]]:
-        """Iterate over edges as ``(u, v)`` pairs with ``u < v``."""
-        for u in range(self.num_vertices):
-            for v in self._adjacency[u]:
-                if u < v:
-                    yield (u, v)
+    def edges(self) -> List[Tuple[int, int]]:
+        """Return the edges as ``(u, v)`` pairs with ``u < v``, in increasing ``u``."""
+        return [(u, v) for u, neigh in enumerate(self._adjacency) for v in neigh if u < v]
 
     def neighbors(self, vertex: int) -> FrozenSet[int]:
         """Return the neighbour set of ``vertex``."""
@@ -213,8 +239,7 @@ class Graph:
         adjacency = [
             {position[w] for w in self._adjacency[v] if w in position} for v in kept
         ]
-        labels = [self._labels[v] for v in kept]
-        return Graph(adjacency, labels), kept
+        return Graph._trusted(adjacency, [self._labels[v] for v in kept]), kept
 
     @property
     def epoch(self) -> int:
@@ -260,15 +285,7 @@ class Graph:
 
     def __setstate__(self, state) -> None:
         adjacency, labels = state
-        self._adjacency = adjacency
-        self._labels = labels
-        self._label_index = {label: index for index, label in enumerate(labels)}
-        self._num_edges = sum(len(neigh) for neigh in adjacency) // 2
-        self._degrees = None
-        self._prepared = None
-        # The epoch is a per-process cache token, not part of the graph's
-        # value; unpickled copies start a fresh epoch sequence.
-        self._epoch = 0
+        self._set_fields(adjacency, labels)
 
     def __len__(self) -> int:
         return self.num_vertices

@@ -12,7 +12,7 @@ from __future__ import annotations
 import gzip
 import io
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from ..errors import FormatError
 from .graph import Graph
@@ -42,9 +42,10 @@ def parse_edge_list(
     skipped.  Each remaining line must contain at least two tokens; additional
     tokens (weights, timestamps) are ignored, as is customary for SNAP files.
     """
+    prefixes = tuple(comments)
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or any(line.startswith(prefix) for prefix in comments):
+        if not line or line.startswith(prefixes):
             continue
         tokens = line.split(delimiter) if delimiter else line.split()
         if len(tokens) < 2:
@@ -62,14 +63,10 @@ def read_edge_list(
     with _open_text(path) as handle:
         pairs = list(parse_edge_list(handle, comments=comments, delimiter=delimiter))
     if as_int:
-        converted: List[Tuple[Hashable, Hashable]] = []
-        for u, v in pairs:
-            try:
-                converted.append((int(u), int(v)))
-            except ValueError:
-                converted = [(u, v) for u, v in pairs]
-                break
-        pairs = converted  # type: ignore[assignment]
+        try:
+            pairs = [(int(u), int(v)) for u, v in pairs]  # type: ignore[assignment]
+        except ValueError:
+            pass
     return Graph.from_edges(pairs)
 
 

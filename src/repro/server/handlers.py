@@ -497,7 +497,7 @@ class KPlexRequestHandler(BaseHTTPRequestHandler):
         if sources[0] == "edges":
             from ..graph import Graph
 
-            edges = [tuple(edge) for edge in self._expect(body, "edges", list)]
+            edges = self._expect(body, "edges", list)
             try:
                 source: object = Graph.from_edges(edges, vertices=body.get("vertices"))
             except ReproError as exc:

@@ -390,9 +390,7 @@ def _restore_graph(service: KPlexService, spec: Dict[str, object]) -> Tuple[bool
     elif "path" in spec:
         source = spec["path"]
     else:
-        edges = [tuple(edge) for edge in spec.get("edges", [])]
-        graph = Graph.from_edges(edges, vertices=spec.get("vertices"))
-        source = graph
+        source = Graph.from_edges(spec.get("edges", []), vertices=spec.get("vertices"))
     service.catalog.register(name, source, fmt=spec.get("fmt", "auto"))
     return True, True
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import List
+from typing import Dict, Hashable, List
 
 from repro.core.kplex import is_kplex
 from repro.graph import Graph, generators, set_backed_core_decomposition
@@ -104,3 +104,63 @@ def seed_in_large_kplex(graph: Graph, seed: int, vertices, k: int, q: int) -> bo
     return any(
         is_kplex(graph, (seed,) + rest, k) for rest in itertools.combinations(others, q - 1)
     )
+
+
+def reference_from_edges(edges, vertices=None) -> Graph:
+    """A plain edge-list builder, the oracle for ``Graph.from_edges``.
+
+    Interns labels through a closure and hands the neighbour sets to the
+    validating ``Graph(adjacency, labels)`` constructor.
+    """
+    labels: List[Hashable] = []
+    index: Dict[Hashable, int] = {}
+    adjacency: List[set] = []
+
+    def intern(label: Hashable) -> int:
+        if label not in index:
+            index[label] = len(labels)
+            labels.append(label)
+            adjacency.append(set())
+        return index[label]
+
+    if vertices is not None:
+        for label in vertices:
+            intern(label)
+    for u_label, v_label in edges:
+        u = intern(u_label)
+        v = intern(v_label)
+        if u != v:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    return Graph(adjacency, labels)
+
+
+def reference_induced_subgraph(graph: Graph, vertices):
+    """``Graph.induced_subgraph`` through the validating constructor."""
+    kept = sorted(set(vertices))
+    position = {vertex: index for index, vertex in enumerate(kept)}
+    adjacency = [{position[w] for w in graph.neighbors(v) if w in position} for v in kept]
+    return Graph(adjacency, [graph.label(v) for v in kept]), kept
+
+
+def reference_disjoint_union(graphs) -> Graph:
+    """``generators.disjoint_union`` as an edge-list round trip."""
+    edges = []
+    offset = 0
+    for graph in graphs:
+        edges.extend((u + offset, v + offset) for u, v in graph.edges())
+        offset += graph.num_vertices
+    return reference_from_edges(edges, vertices=range(offset))
+
+
+def assert_same_graph(graph: Graph, reference: Graph) -> None:
+    """Equal labels, neighbour sets, edge count, label index and edge order."""
+    assert graph.labels() == reference.labels()
+    assert [graph.neighbors(v) for v in graph.vertices()] == [
+        reference.neighbors(v) for v in reference.vertices()
+    ]
+    assert graph.num_edges == reference.num_edges
+    assert [graph.index_of(label) for label in reference.labels()] == list(
+        reference.vertices()
+    )
+    assert list(graph.edges()) == list(reference.edges())

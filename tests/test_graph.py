@@ -1,9 +1,19 @@
 """Unit tests for the Graph data structure."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _helpers import (
+    assert_same_graph,
+    reference_disjoint_union,
+    reference_from_edges,
+    reference_induced_subgraph,
+)
 from repro.errors import GraphError
-from repro.graph import Graph
+from repro.graph import Graph, generators
+from repro.graph.bitset import bits_to_list
+from repro.graph.dense import DenseSubgraph
 
 
 def test_from_edges_basic():
@@ -27,6 +37,24 @@ def test_from_edges_with_labels():
     assert graph.label(0) == "a"
     assert graph.index_of("c") == 2
     assert graph.degree(graph.index_of("isolated")) == 0
+
+
+@pytest.mark.parametrize(
+    "edges, vertices, named",
+    [
+        ([[1, 2, 3]], None, "[1, 2, 3]"),
+        ([[1]], None, "[1]"),
+        ([[[1], 2]], None, "[[1], 2]"),
+        ([1, 2], None, "edge 1"),
+        ([], 5, "5"),
+        ([], [[1]], "[1]"),
+        ([(0, 1)], [0, {2}], "{2}"),
+    ],
+)
+def test_from_edges_rejects_malformed_input_with_graph_error(edges, vertices, named):
+    with pytest.raises(GraphError, match="malformed") as excinfo:
+        Graph.from_edges(edges, vertices=vertices)
+    assert named in str(excinfo.value)
 
 
 def test_index_of_unknown_label_raises():
@@ -113,3 +141,72 @@ def test_equality():
     third = Graph.from_edges([(0, 1), (0, 2)])
     assert first == second
     assert first != third
+
+
+LABELS = st.one_of(
+    st.integers(min_value=-3, max_value=40),
+    st.sampled_from(["a", "b", "c", "d"]),
+    st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2)),
+)
+BUILDER_SETTINGS = settings(max_examples=120, deadline=None)
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge lists with repeats, reversed repeats and self-loops mixed in."""
+    edges = draw(st.lists(st.tuples(LABELS, LABELS), max_size=60))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    loops = draw(st.lists(LABELS, max_size=3))
+    edges += [(v, u) for u, v in repeats] + [(label, label) for label in loops]
+    return draw(st.permutations(edges))
+
+
+@given(edge_lists(), st.one_of(st.none(), st.lists(LABELS, max_size=12)))
+@BUILDER_SETTINGS
+def test_from_edges_matches_the_reference_builder(edges, vertices):
+    assert_same_graph(
+        Graph.from_edges(edges, vertices=vertices), reference_from_edges(edges, vertices)
+    )
+
+
+@given(edge_lists(), st.data())
+@BUILDER_SETTINGS
+def test_induced_subgraph_matches_the_reference_builder(edges, data):
+    graph = reference_from_edges(edges)
+    chosen = data.draw(st.lists(st.sampled_from(range(graph.num_vertices)))) if len(graph) else []
+    sub, kept = graph.induced_subgraph(chosen)
+    expected, expected_kept = reference_induced_subgraph(graph, chosen)
+    assert kept == expected_kept
+    assert_same_graph(sub, expected)
+
+
+@given(st.lists(edge_lists(), max_size=4))
+@BUILDER_SETTINGS
+def test_disjoint_union_matches_the_reference_builder(edge_sets):
+    graphs = [reference_from_edges(edges) for edges in edge_sets]
+    assert_same_graph(generators.disjoint_union(graphs), reference_disjoint_union(graphs))
+
+
+def test_builders_match_the_references_on_generated_graphs():
+    """The same checks at sizes where neighbour-set hash slots collide."""
+    social = generators.barabasi_albert(300, 5, seed=1)
+    caveman = generators.relaxed_caveman(6, 12, rewire_probability=0.2, seed=2)
+    edges = list(social.edges())[::-1] + [(7, 7), (3, 4), (4, 3)]
+    assert_same_graph(Graph.from_edges(edges), reference_from_edges(edges))
+    assert_same_graph(
+        generators.disjoint_union([social, caveman, social]),
+        reference_disjoint_union([social, caveman, social]),
+    )
+    chosen = range(0, 300, 2)
+    sub, _kept = social.induced_subgraph(chosen)
+    assert_same_graph(sub, reference_induced_subgraph(social, chosen)[0])
+    dense = DenseSubgraph(caveman, list(range(40, 5, -1)))
+    materialised, vertex_map = dense.to_graph()
+    assert vertex_map == list(range(40, 5, -1))
+    assert_same_graph(
+        materialised,
+        Graph(
+            [bits_to_list(row) for row in dense.adjacency],
+            [caveman.label(v) for v in vertex_map],
+        ),
+    )

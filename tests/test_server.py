@@ -162,6 +162,28 @@ def test_http_malformed_requests_yield_structured_4xx(served):
     assert client.solve("toy", k=2, q=3)["count"] == 1
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"edges": [[1, 2, 3]]},
+        {"edges": [[1]]},
+        {"edges": [[[1], 2]]},
+        {"edges": [1, 2]},
+        {"edges": [[1, 2]], "vertices": 5},
+        {"edges": [[1, 2]], "vertices": [[1]]},
+    ],
+)
+def test_http_malformed_graph_body_is_a_400_graph_error(served, fields):
+    _service, server, client = served
+    payload = json.dumps({"name": "bad", **fields}).encode()
+    status, body = _raw_status(server.url, "/v1/graphs", payload)
+    assert status == 400 and body["error"]["type"] == "GraphError", body
+    with urllib.request.urlopen(f"{server.url}/readyz", timeout=10) as response:
+        assert response.status == 200
+        assert json.loads(response.read())["status"] == "ready"
+    assert client.register("good", edges=EDGES)["vertices"] == 4
+
+
 def test_http_duplicate_register_conflict_status(served):
     _service, server, client = served
     client.register("toy", edges=EDGES)
